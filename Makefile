@@ -7,9 +7,9 @@
 #   make short   # go test -short ./... — structural tests only, < 60 s
 #   make race    # full test suite under the race detector
 #   make fuzz    # 10s per fuzz target (go test -fuzz takes one at a time)
-#   make bench   # end-to-end Step + tiled-core + run-cache +
-#                # checkpoint-sweep + trace-store + scheduler + packet-alloc
-#                # benchmarks; set BENCH_COUNT=10 for benchstat samples
+#   make bench   # end-to-end Step + run-cache + checkpoint-sweep +
+#                # trace-store + scheduler + packet-alloc benchmarks; set
+#                # BENCH_COUNT=10 for benchstat samples
 #   make bench-json # regenerate the committed BENCH_pr10.json trajectory
 #   make bench-diff # bench-json + per-benchmark deltas vs BENCH_pr9.json
 #                # (the previous PR's committed baseline); fails on a >10%
@@ -74,7 +74,6 @@ fuzz:
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.
 bench:
 	$(GO) test . -run xxx -bench 'BenchmarkStep(LowLoad|Saturation)' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkStepTiled' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run xxx -bench 'BenchmarkRunAll(Cold|Warm)Cache' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run xxx -bench 'BenchmarkSweep(Straight|Checkpointed)' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test . -run xxx -bench 'BenchmarkTrace(CaptureCold|DecodeWarm)|BenchmarkStoreOpenIndexed' -benchmem -count=$(BENCH_COUNT)

@@ -179,27 +179,6 @@ func BenchmarkStepSaturation(b *testing.B) { bench.Step(b, bench.SaturationRate,
 // BenchmarkStepSaturationNoSkip is the saturated always-tick baseline.
 func BenchmarkStepSaturationNoSkip(b *testing.B) { bench.Step(b, bench.SaturationRate, true) }
 
-// --- Tile-parallel core benchmarks ---------------------------------------
-
-// BenchmarkStepTiled1 runs the saturated platform on the tiled engine
-// degenerated to a single tile: its delta against BenchmarkStepSaturation
-// is the pure bookkeeping overhead of the tile machinery (bounded at 5% by
-// the acceptance criteria; cmd/benchjson records it in BENCH_pr8.json).
-func BenchmarkStepTiled1(b *testing.B) { bench.StepTiled(b, 1) }
-
-// BenchmarkStepTiled2 adds cross-tile message queues between two tiles,
-// advanced through extracted-lookahead windows with merge elision; output
-// stays byte-identical. Reports barriers/cycle and barrier-elision-frac.
-func BenchmarkStepTiled2(b *testing.B) { bench.StepTiled(b, 2) }
-
-// BenchmarkStepTiled4 is the four-tile point: maximum cross-tile traffic
-// on the 8x8 platform's row blocks.
-func BenchmarkStepTiled4(b *testing.B) { bench.StepTiled(b, 4) }
-
-// BenchmarkStepTiled2LowLoad is the two-tile near-idle point, where sparse
-// cross-tile traffic lets elision skip most window merges.
-func BenchmarkStepTiled2LowLoad(b *testing.B) { bench.StepTiledRate(b, bench.LowLoadRate, 2) }
-
 // --- Substrate micro-benchmarks ------------------------------------------
 
 // BenchmarkNetworkStep8x8 measures the cost of one router cycle of the

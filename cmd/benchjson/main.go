@@ -1,7 +1,7 @@
 // Command benchjson runs the repository's benchmark trajectory — the
 // end-to-end Step benchmarks at low load and saturation (with the
-// activity-driven core on and off), the tiled-core Step points, the cold-
-// and warm-cache experiment regenerations, the checkpointed and straight
+// activity-driven core on and off), the cold- and warm-cache experiment
+// regenerations, the checkpointed and straight
 // threshold sweeps, the trace-store capture/decode pair and indexed cache
 // open, plus the scheduler and packet-alloc micro-benchmarks — and writes
 // the results as machine-readable JSON.
@@ -47,12 +47,6 @@ type result struct {
 	// WarmupCyclesPerOp is the warmup work one sweep iteration simulated;
 	// only the Sweep benchmarks report it.
 	WarmupCyclesPerOp float64 `json:"warmup_cycles_per_op,omitempty"`
-	// BarriersPerCycle and BarrierElisionFrac are the tiled engine's merge
-	// cadence over the timed region (1.0 was the pre-extraction fixed
-	// cadence) and the fraction of planned windows whose merge was elided;
-	// only the multi-tile Step benchmarks report them.
-	BarriersPerCycle   float64 `json:"barriers_per_cycle,omitempty"`
-	BarrierElisionFrac float64 `json:"barrier_elision_frac,omitempty"`
 }
 
 // report is the file schema.
@@ -78,16 +72,6 @@ type summary struct {
 	// when policy variants fork one shared warmup instead of each paying
 	// for its own.
 	CheckpointSpeedupX float64 `json:"checkpoint_speedup_x,omitempty"`
-	// TileOverheadFrac is the fractional cost of the tile-parallel engine
-	// degenerated to a single tile over the single-scheduler saturation
-	// point — the acceptance bound for the tiled bookkeeping (<= 5%).
-	TileOverheadFrac float64 `json:"tile_overhead_frac,omitempty"`
-	// SatBarriersPerCycle is the two-tile merge cadence at saturation
-	// (StepTiled2Extracted); BarrierElisionFrac is the fraction of planned
-	// windows elided at low load (StepTiled2LowLoad). Together they pin
-	// what extracted lookahead bought over the barrier-every-cycle engine.
-	SatBarriersPerCycle float64 `json:"sat_barriers_per_cycle,omitempty"`
-	BarrierElisionFrac  float64 `json:"barrier_elision_frac,omitempty"`
 	// TraceStoreSpeedupX is how much faster a workload's arrival sequence
 	// decodes and replays from its trace-store encoding than the live
 	// model re-captures it.
@@ -106,12 +90,6 @@ const summaryNote = "low_load_speedup_x compares against -noskip in the same bin
 	"checkpoint_speedup_x compares the fig13 threshold sweep forking one shared warmup " +
 	"against every point warming up itself, also on the tiny budget (real budgets widen " +
 	"it, since the shared warmup amortizes over the same six settings at any length); " +
-	"tile_overhead_frac compares the tiled engine at one tile against the " +
-	"single-scheduler saturation point (StepTiled2/4Extracted meter window-planning and " +
-	"merge cost under extracted lookahead — on a single-CPU host they cannot win wall " +
-	"clock); sat_barriers_per_cycle and barrier_elision_frac pin the merge cadence the " +
-	"extraction achieves at saturation and the window fraction elision skips at low load " +
-	"(the pre-extraction engine merged every cycle at every load); " +
 	"trace_store_speedup_x compares decoding and replaying a stored arrival trace " +
 	"against re-capturing the same workload from the live two-level model; " +
 	"diff against the committed BENCH_pr9.json (benchjson -baseline BENCH_pr9.json) for " +
@@ -125,16 +103,14 @@ func measure(name string, fn func(b *testing.B)) result {
 	r := testing.Benchmark(fn)
 	fmt.Fprintf(os.Stderr, "%-24s %s %s\n", name, r.String(), r.MemString())
 	return result{
-		Name:               name,
-		Iterations:         r.N,
-		NsPerOp:            float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp:        r.AllocsPerOp(),
-		BytesPerOp:         r.AllocedBytesPerOp(),
-		CyclesPerSec:       r.Extra["cycles/sec"],
-		ElisionRatio:       r.Extra["elision-ratio"],
-		WarmupCyclesPerOp:  r.Extra["warmup-cycles/op"],
-		BarriersPerCycle:   r.Extra["barriers/cycle"],
-		BarrierElisionFrac: r.Extra["barrier-elision-frac"],
+		Name:              name,
+		Iterations:        r.N,
+		NsPerOp:           float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp:       r.AllocsPerOp(),
+		BytesPerOp:        r.AllocedBytesPerOp(),
+		CyclesPerSec:      r.Extra["cycles/sec"],
+		ElisionRatio:      r.Extra["elision-ratio"],
+		WarmupCyclesPerOp: r.Extra["warmup-cycles/op"],
 	}
 }
 
@@ -144,10 +120,6 @@ func runAll() []result {
 		measure("StepLowLoadNoSkip", func(b *testing.B) { bench.Step(b, bench.LowLoadRate, true) }),
 		measure("StepSaturation", func(b *testing.B) { bench.Step(b, bench.SaturationRate, false) }),
 		measure("StepSaturationNoSkip", func(b *testing.B) { bench.Step(b, bench.SaturationRate, true) }),
-		measure("StepTiled1", func(b *testing.B) { bench.StepTiled(b, 1) }),
-		measure("StepTiled2Extracted", func(b *testing.B) { bench.StepTiled(b, 2) }),
-		measure("StepTiled4Extracted", func(b *testing.B) { bench.StepTiled(b, 4) }),
-		measure("StepTiled2LowLoad", func(b *testing.B) { bench.StepTiledRate(b, bench.LowLoadRate, 2) }),
 		measure("RunAllColdCache", func(b *testing.B) { bench.FiguresRunAll(b, false) }),
 		measure("RunAllWarmCache", func(b *testing.B) { bench.FiguresRunAll(b, true) }),
 		measure("SweepStraight", func(b *testing.B) { bench.Sweep(b, true) }),
@@ -277,20 +249,14 @@ func main() {
 	if ckpt, straight := byName["SweepCheckpointed"], byName["SweepStraight"]; ckpt.NsPerOp > 0 {
 		rep.Summary.CheckpointSpeedupX = straight.NsPerOp / ckpt.NsPerOp
 	}
-	if tiled, flat := byName["StepTiled1"], byName["StepSaturation"]; flat.NsPerOp > 0 && tiled.NsPerOp > 0 {
-		rep.Summary.TileOverheadFrac = tiled.NsPerOp/flat.NsPerOp - 1
-	}
-	rep.Summary.SatBarriersPerCycle = byName["StepTiled2Extracted"].BarriersPerCycle
-	rep.Summary.BarrierElisionFrac = byName["StepTiled2LowLoad"].BarrierElisionFrac
 	if warm, cold := byName["TraceDecodeWarm"], byName["TraceCaptureCold"]; warm.NsPerOp > 0 {
 		rep.Summary.TraceStoreSpeedupX = cold.NsPerOp / warm.NsPerOp
 	}
 	rep.Summary.Note = summaryNote
-	fmt.Fprintf(os.Stderr, "low-load speedup %.2fx, saturation overhead %+.1f%%, warm-cache speedup %.2fx, checkpoint speedup %.2fx, tile overhead %+.1f%%, sat barriers/cycle %.4f, low-load elision %.0f%%, trace-store speedup %.2fx\n",
+	fmt.Fprintf(os.Stderr, "low-load speedup %.2fx, saturation overhead %+.1f%%, warm-cache speedup %.2fx, checkpoint speedup %.2fx, trace-store speedup %.2fx\n",
 		rep.Summary.LowLoadSpeedupX, 100*rep.Summary.SaturationOverheadFrac,
 		rep.Summary.WarmCacheSpeedupX, rep.Summary.CheckpointSpeedupX,
-		100*rep.Summary.TileOverheadFrac, rep.Summary.SatBarriersPerCycle,
-		100*rep.Summary.BarrierElisionFrac, rep.Summary.TraceStoreSpeedupX)
+		rep.Summary.TraceStoreSpeedupX)
 
 	if *in == "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

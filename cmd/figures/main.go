@@ -45,7 +45,6 @@ func main() {
 		ckpt       = flag.Bool("checkpoint", true, "share one policy-frozen warmup per (seed, rate) across policy variants via checkpoint/fork (same output)")
 		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		tiles      = flag.Int("tiles", 0, "tile-parallel blocks per simulation (0/1 = single scheduler; output is byte-identical at every tile count)")
 		prefetch   = flag.Bool("prefetch", false, "report which run-cache keys the selected experiments would hit or miss; no simulations run")
 		cacheDir   = flag.String("cache-dir", "", "persistent run cache directory (default: user cache dir)")
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache; recompute everything")
@@ -103,7 +102,7 @@ func main() {
 
 	o := noc.ExperimentOptions{
 		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag, NoSkip: *noskip,
-		NoCheckpoint: *noCkpt || !*ckpt, Tiles: *tiles,
+		NoCheckpoint: *noCkpt || !*ckpt,
 	}
 	var ids []string
 	switch {
@@ -188,11 +187,4 @@ func printCacheStats() {
 		"tracestore: hits=%d misses=%d puts=%d corrupt=%d evictions=%d read=%dB written=%dB hit-rate=%.2f\n",
 		t.Hits, t.Misses, t.Puts, t.CorruptDropped, t.Evictions,
 		t.BytesRead, t.BytesWritten, t.HitRate())
-	// Only tiled recomputes plan windows, so this line appears exactly when
-	// -tiles > 1 did real simulation work (cache hits contribute nothing).
-	if tb := noc.ExperimentTileBarrierStats(); tb.Windows > 0 {
-		fmt.Fprintf(os.Stderr,
-			"tilebarriers: windows=%d merges=%d elided=%d elision-frac=%.2f\n",
-			tb.Windows, tb.Barriers, tb.Elided, float64(tb.Elided)/float64(tb.Windows))
-	}
 }

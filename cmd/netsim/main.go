@@ -46,7 +46,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
 		noskip   = flag.Bool("noskip", false, "disable the activity-driven core (tick every router every cycle); identical results, slower")
-		tiles    = flag.Int("tiles", 0, "tile-parallel blocks with conservative lookahead (0/1 = single scheduler); identical results at every count")
 		ckpt     = flag.Bool("checkpoint", true, "reuse a persisted policy-frozen warmup snapshot across runs (twolevel traffic, cache enabled); identical results")
 		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup; identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
@@ -107,16 +106,6 @@ func main() {
 	if set["noskip"] || *cfgPath == "" {
 		cfg.NoSkip = *noskip
 	}
-	if set["tiles"] || *cfgPath == "" {
-		cfg.Tiles = *tiles
-	}
-	// The tiled engine replays recorded traces only; live traffic models and
-	// event tracing need the single-scheduler core. Results are identical at
-	// every tile count, so degrading costs nothing but speed.
-	if cfg.Tiles > 1 && (*traffic != "twolevel" || *traceN > 0) {
-		fmt.Fprintln(os.Stderr, "netsim: -tiles requires the recorded two-level workload without -trace; running single-scheduler (identical results)")
-		cfg.Tiles = 0
-	}
 
 	if !*noCache {
 		if err := noc.EnableRunCache(*cacheDir, 0); err != nil {
@@ -143,10 +132,8 @@ func main() {
 		*cpuprofile == "" && *memprofile == ""
 	var cacheKey string
 	if cacheable {
-		// Tile count never changes output bytes, so it is deliberately
-		// neutralized in the key: -tiles variants share one cache entry.
-		// VerifyLookahead is a speed-only debug check, neutralized for the
-		// same reason.
+		// The deprecated tile fields are zeroed so a config file's accepted
+		// Tiles=1 shares the default run's entry.
 		keyCfg := cfg
 		keyCfg.Tiles = 0
 		keyCfg.VerifyLookahead = false
@@ -312,18 +299,6 @@ func printSkipStats(s noc.SkipStats) {
 	}
 	fmt.Printf("active     : %d/%d/%d routers per stepped cycle (p50/p90/max)\n",
 		histQuantile(s.ActiveHist, 0.50), histQuantile(s.ActiveHist, 0.90), histMax(s.ActiveHist))
-	if s.TileWindows > 0 {
-		cycles := s.CyclesExecuted + s.CyclesFastForwarded
-		var perCycle, elided float64
-		if cycles > 0 {
-			perCycle = float64(s.TileBarriers) / float64(cycles)
-		}
-		if s.TileWindows > 0 {
-			elided = float64(s.TileBarriersElided) / float64(s.TileWindows)
-		}
-		fmt.Printf("barriers   : %d windows, %d merges (%.4f/cycle), %d elided (%.1f%%)\n",
-			s.TileWindows, s.TileBarriers, perCycle, s.TileBarriersElided, 100*elided)
-	}
 }
 
 // histQuantile reports the smallest active-router count whose cumulative

@@ -39,31 +39,8 @@ const (
 // router ticks the activity-driven core skipped during the timed region;
 // zero when noskip pins the always-tick path).
 func Step(b *testing.B, rate float64, noskip bool) {
-	step(b, rate, noskip, 0)
-}
-
-// StepTiled is Step on the tile-parallel core: the same saturated platform
-// partitioned into the given number of tiles, each advancing through
-// extracted-lookahead windows with merge elision. tiles=1 measures the
-// tiled engine's bookkeeping overhead over the single-scheduler core (the
-// acceptance bound); higher counts meter window-planning and merge cost —
-// on a single-CPU host they cannot win wall clock, the committed numbers
-// document that the machinery stays cheap.
-func StepTiled(b *testing.B, tiles int) {
-	step(b, SaturationRate, false, tiles)
-}
-
-// StepTiledRate is StepTiled at an arbitrary operating point; the low-load
-// row documents barrier elision, which only pays off when cross-tile
-// traffic is sparse.
-func StepTiledRate(b *testing.B, rate float64, tiles int) {
-	step(b, rate, false, tiles)
-}
-
-func step(b *testing.B, rate float64, noskip bool, tiles int) {
 	cfg := network.NewConfig()
 	cfg.NoSkip = noskip
-	cfg.Tiles = tiles
 	n, err := network.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -90,18 +67,6 @@ func step(b *testing.B, rate float64, noskip bool, tiles int) {
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
-	}
-	if tiles > 1 {
-		// Barrier accounting over the timed region: merges per simulated
-		// cycle (1.0 was the pre-extraction engine's fixed cadence) and the
-		// fraction of planned windows whose merge was elided outright.
-		barriers := after.TileBarriers - before.TileBarriers
-		windows := after.TileWindows - before.TileWindows
-		elidedW := after.TileBarriersElided - before.TileBarriersElided
-		b.ReportMetric(float64(barriers)/float64(b.N), "barriers/cycle")
-		if windows > 0 {
-			b.ReportMetric(float64(elidedW)/float64(windows), "barrier-elision-frac")
-		}
 	}
 }
 

@@ -32,28 +32,6 @@ var warmupCycles atomic.Int64
 // process. Tests diff it around sweeps.
 func WarmupCyclesExecuted() int64 { return warmupCycles.Load() }
 
-// Tile-parallel barrier accounting, accumulated process-wide across every
-// tiled point simulate runs. Cache hits contribute nothing (no simulation
-// happened), so figures can report how much merge traffic the extracted
-// lookahead actually avoided on recomputes.
-var tileWindows, tileBarriers, tileBarriersElided atomic.Int64
-
-// TileBarrierCounters summarizes the tiled runs this process executed:
-// planned windows, actual cross-tile merges, and merges elided because no
-// cross-tile traffic was pending. All zero when no tiled point simulated.
-type TileBarrierCounters struct {
-	Windows, Barriers, Elided int64
-}
-
-// TileBarrierStats reports the process-wide tiled barrier counters.
-func TileBarrierStats() TileBarrierCounters {
-	return TileBarrierCounters{
-		Windows:  tileWindows.Load(),
-		Barriers: tileBarriers.Load(),
-		Elided:   tileBarriersElided.Load(),
-	}
-}
-
 // warmSnap is one warm-key cache slot: the captured warmed-up state and
 // the trace it ran under (forks re-attach the same trace; the snapshot
 // itself carries only the replay's progress). Both nil when the point
@@ -90,10 +68,7 @@ func (s spec) warmKey(o Options) string {
 // restore failure) land on the straight path.
 func simulate(s spec, o Options) network.Results {
 	warm, meas := o.budget()
-	// Tiled points always run straight: a tiled network refuses checkpoint
-	// capture and restore (see network.CaptureCheckpoint), and the straight
-	// path is byte-identical to the forked one anyway.
-	if !o.NoCheckpoint && o.Tiles <= 1 {
+	if !o.NoCheckpoint {
 		if ws := warmSnapshot(s, o); ws.snap != nil {
 			if r, ok := forkAndMeasure(s, o, ws, meas); ok {
 				return r
@@ -108,12 +83,6 @@ func simulate(s spec, o Options) network.Results {
 	n.SetDVSHold(false)
 	n.BeginMeasurement()
 	n.Run(meas)
-	if n.Tiled() {
-		st := n.SkipStats()
-		tileWindows.Add(st.TileWindows)
-		tileBarriers.Add(st.TileBarriers)
-		tileBarriersElided.Add(st.TileBarriersElided)
-	}
 	return n.Snapshot()
 }
 
@@ -145,11 +114,6 @@ func warmSnapshot(s spec, o Options) *warmSnap {
 		}
 		warm, meas := o.budget()
 		cfg := s.config(o)
-		// Warmups are captured untiled regardless of o.Tiles: the warm key
-		// excludes the tile count, and a tiled network refuses capture.
-		// (simulate never reaches here for tiled points; this guards any
-		// future caller.)
-		cfg.Tiles = 0
 		horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
 		topo := topology.New(cfg.K, cfg.N, cfg.Torus)
 		tr, _ := traffic.SharedTwoLevelTrace(s.twoLevelParams(o), topo, horizon)

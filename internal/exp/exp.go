@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -44,14 +43,6 @@ type Options struct {
 	// byte-identity); only speed differs. It is deliberately absent from
 	// cache keys so both modes share cached results.
 	NoCheckpoint bool
-	// Tiles partitions each simulation into that many tile-parallel blocks
-	// (network.Config.Tiles). Results are byte-identical at every tile
-	// count (the tile-equivalence suite pins this); only speed differs, so
-	// like NoCheckpoint it is deliberately absent from cache keys. Points
-	// whose workload exceeds the trace budget fall back to untiled (the
-	// tiled engine replays recorded traces only), and tiled points run the
-	// straight warmup path (a tiled network refuses checkpoint capture).
-	Tiles int
 }
 
 // tinyBudget, when set, shrinks cycle budgets far below -quick. It exists
@@ -247,29 +238,18 @@ var noTraceMemo bool
 // Oversized points fall back to the live model.
 func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.Model, sim.Time) {
 	cfg := s.config(o)
-	p := s.twoLevelParams(o)
-	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
-	// The workload decision comes before network construction: a tiled
-	// network replays recorded traces only, so a point that must run its
-	// model live (memoization disabled, or trace over budget) degrades to
-	// the untiled engine — same bytes, one scheduler.
-	var tr *traffic.Trace
-	if !noTraceMemo {
-		var reason string
-		tr, reason = traffic.SharedTwoLevelTrace(p, topology.New(cfg.K, cfg.N, cfg.Torus), horizon)
-		if tr == nil {
-			noteTraceFallback(s, reason)
-		}
-	}
-	if tr == nil {
-		cfg.Tiles = 0
-	}
 	n, err := network.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	if tr != nil {
-		return n, tr, horizon
+	p := s.twoLevelParams(o)
+	horizon := sim.Time(horizonCycles) * cfg.RouterPeriod
+	if !noTraceMemo {
+		tr, reason := traffic.SharedTwoLevelTrace(p, n.Topo, horizon)
+		if tr != nil {
+			return n, tr, horizon
+		}
+		noteTraceFallback(s, reason)
 	}
 	m, err := traffic.NewTwoLevel(p, n.Topo)
 	if err != nil {
@@ -284,18 +264,18 @@ func (s spec) build(o Options, horizonCycles int64) (*network.Network, traffic.M
 var traceFallbackNotes sync.Map
 
 // noteTraceFallback emits one stderr note when a point must run its
-// traffic model live — losing trace replay and, with it, tile eligibility
-// (tiled networks replay recorded traces only) — naming the point and the
-// reason, mirroring the tiled-degrade notes in the cmds. Silent fallback
-// hid exactly the -full points users most expect to parallelize.
+// traffic model live — losing trace replay, and with it the shared
+// capture and the checkpoint fork — naming the point and the reason.
 func noteTraceFallback(s spec, reason string) {
 	key := fmt.Sprintf("%v|%g|%d|%s", s.policy, s.rate, s.seed, reason)
 	if _, dup := traceFallbackNotes.LoadOrStore(key, true); dup {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "exp: point policy=%v rate=%g: live workload (trace and tile eligibility lost): %s\n",
+	fmt.Fprintf(os.Stderr, "exp: point policy=%v rate=%g: live workload (no trace replay): %s\n",
 		s.policy, s.rate, reason)
 }
+
+// config assembles the platform configuration for a spec.
 func (s spec) config(o Options) network.Config {
 	cfg := network.NewConfig()
 	cfg.Policy = s.policy
@@ -324,9 +304,6 @@ func (s spec) config(o Options) network.Config {
 	cfg.Torus = s.torus
 	cfg.Audit.Enabled = o.Audit
 	cfg.NoSkip = o.NoSkip
-	if o.Tiles > 1 {
-		cfg.Tiles = o.Tiles
-	}
 	return cfg
 }
 
@@ -351,9 +328,6 @@ func (s spec) twoLevelParams(o Options) traffic.TwoLevelParams {
 // exactly the points it touches and nothing else. Audit and NoSkip are
 // proven not to change results, but they stay in the key to keep it a
 // plain serialization of the run spec rather than an equivalence claim.
-// Tiles is deliberately absent (like NoCheckpoint): tile counts are an
-// execution strategy, not part of the run spec, and keying them would
-// split the cache across identical results.
 func (s spec) cacheKey(o Options) string {
 	warm, meas := o.budget()
 	return fmt.Sprintf("v%d|warm=%d|meas=%d|audit=%t|noskip=%t|seed=%d|"+

@@ -132,20 +132,6 @@ func (l *DVSLink) CanSend(now sim.Time) bool {
 	return l.state != FreqLocking && now >= l.busyUntil
 }
 
-// EarliestSend reports the earliest instant a flit could start crossing
-// the link: the previous flit must have cleared the serializer, and a
-// frequency-locking interval blocks sends until it ends. A voltage ramp
-// does not block, and transitions requested after this call can only delay
-// sends further, so the result is a conservative lower bound on the next
-// send — the per-edge term of the tile engine's extracted lookahead.
-func (l *DVSLink) EarliestSend() sim.Time {
-	t := l.busyUntil
-	if l.state == FreqLocking && l.deadUntil > t {
-		t = l.deadUntil
-	}
-	return t
-}
-
 // Send starts a flit across the link at now and returns the serialization
 // delay after which it arrives downstream. The caller must have checked
 // CanSend.

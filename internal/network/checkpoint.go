@@ -184,12 +184,6 @@ func (t *pktTable) encode(f *flow.Flit) int32 {
 // be between steps (Run/Step not executing).
 func (n *Network) CaptureCheckpoint() (*CheckpointState, error) {
 	switch {
-	case n.tiles != nil:
-		// Tiled state (per-tile schedulers, rings, pools, ID spaces) has no
-		// capture encoding; the experiment harness runs tiled points on the
-		// straight warmup path instead, which is byte-identical to the
-		// forked one (PR 7 conformance suite).
-		return nil, fmt.Errorf("network: cannot checkpoint a tiled network (Tiles=%d)", n.Cfg.Tiles)
 	case n.Probe != nil:
 		return nil, fmt.Errorf("network: cannot checkpoint with a Probe attached")
 	case n.OnDeliver != nil:
@@ -218,12 +212,6 @@ func (n *Network) CaptureCheckpoint() (*CheckpointState, error) {
 // but two equal simulations produce equal captures, which is exactly what
 // the conformance walker needs.
 func (n *Network) CaptureForDiff() (*CheckpointState, error) {
-	if n.tiles != nil {
-		// captureState walks the global ring and slow list; a tiled
-		// network's in-flight messages live in per-tile structures it does
-		// not encode, so the capture would be silently incomplete.
-		return nil, fmt.Errorf("network: cannot capture a tiled network for diff (Tiles=%d)", n.Cfg.Tiles)
-	}
 	return n.captureState()
 }
 
@@ -426,9 +414,6 @@ func inputPortIndex(r *router.Router, in *router.InputPort) (int32, error) {
 func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) error {
 	if n.cycle != 0 || n.Sched.Pending() != 0 || n.Sched.Now() != 0 || n.model != nil || n.nextPkt != 0 {
 		return fmt.Errorf("network: restore target is not freshly constructed")
-	}
-	if n.tiles != nil {
-		return fmt.Errorf("network: cannot restore into a tiled network (Tiles=%d)", n.Cfg.Tiles)
 	}
 	if len(st.Routers) != len(n.Routers) {
 		return fmt.Errorf("network: restore with %d routers, want %d", len(st.Routers), len(n.Routers))

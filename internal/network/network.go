@@ -94,28 +94,6 @@ type Config struct {
 	// the equivalence tests, so the only observable difference is speed.
 	RefAllocators bool
 
-	// Tiles partitions the mesh into that many contiguous blocks of
-	// routers, each advanced by its own scheduler between conservative
-	// lookahead barriers, so one simulation can use several cores. Output
-	// is byte-identical at every tile count (see tile.go for the
-	// argument); 0 or 1 selects the single-scheduler path unchanged. A
-	// tiled network requires a recorded trace workload (see Launch) and
-	// refuses checkpoint capture. Trace availability is therefore the
-	// tile-eligibility gate: the streaming replay's arrival budgets
-	// (internal/traffic) are sized so even -full experiment points record
-	// traces, and a point that still exceeds them falls back to the live
-	// model — losing tile eligibility — with a one-time stderr note from
-	// the harness naming the point and reason.
-	Tiles int
-
-	// VerifyLookahead cross-checks the tile engine's extracted lookahead: at
-	// every barrier merge, each cross-tile message's due cycle is compared
-	// against the bound its source tile promised when the window was
-	// planned, and violations are counted (LookaheadViolations). The same
-	// check runs under Audit. A test knob — verification never changes
-	// output bytes, only adds the per-message comparison.
-	VerifyLookahead bool
-
 	// Audit configures the runtime invariant checker (internal/audit).
 	// Disabled by default; when Audit.Enabled, the platform verifies flit
 	// and credit conservation, VC state-machine legality, DVS link
@@ -165,22 +143,7 @@ func (c Config) Validate() error {
 	if _, err := link.NewTable(c.Link); err != nil {
 		return err
 	}
-	if c.Tiles < 0 {
-		return fmt.Errorf("network: negative tile count %d", c.Tiles)
-	}
-	if nodes := c.nodes(); c.Tiles > nodes {
-		return fmt.Errorf("network: %d tiles over %d routers", c.Tiles, nodes)
-	}
 	return nil
-}
-
-// nodes reports the cube's node count without building the topology.
-func (c Config) nodes() int {
-	nodes := 1
-	for i := 0; i < c.N; i++ {
-		nodes *= c.K
-	}
-	return nodes
 }
 
 // portCtl is the per-output-port DVS machinery: the policy instance and the
@@ -351,37 +314,7 @@ type Network struct {
 	model   traffic.Model
 	horizon sim.Time
 	replay  *traffic.Replay
-
-	// Tile-parallel state (tile.go). tiles is non-nil when Cfg.Tiles > 1:
-	// each tile owns a contiguous block of routers and advances on its own
-	// scheduler between extracted-lookahead barriers. tileOf maps a node to
-	// its owning tile; lookahead is the constant floor of the per-window
-	// extracted bound in router cycles (the minimum link latency).
-	tiles     []*tileState
-	tileOf    []int
-	lookahead int64
-	// tileMerged is the merge frontier: every cycle before it has been
-	// drained into the global accumulators. Barrier elision lets the tiles'
-	// cycle run ahead of it; mergeTiles closes the gap.
-	tileMerged int64
-	// forceTileWorkers pins the per-tile worker-goroutine path even on a
-	// single-CPU host (where runTiled otherwise runs tiles inline, barriers
-	// being pure overhead without a second core). Test hook: the race
-	// detector must exercise the concurrent path regardless of GOMAXPROCS.
-	forceTileWorkers bool
-	// noTileElide disables barrier elision (every window ends in a merge);
-	// test hook for the elision-equivalence suite.
-	noTileElide bool
-	// laViolations counts cross-tile messages that arrived before their
-	// source tile's promised lookahead bound — always zero unless the bound
-	// extraction is wrong. Counted under Cfg.VerifyLookahead or Audit.
-	laViolations int64
 }
-
-// LookaheadViolations reports cross-tile messages observed before their
-// source tile's promised bound. Populated only under Config.VerifyLookahead
-// or a running audit; any nonzero value is a lookahead-extraction bug.
-func (n *Network) LookaheadViolations() int64 { return n.laViolations }
 
 // slowEntry is one scheduler-fallback message: a flit arrival when in is
 // non-nil, otherwise a credit return. at/seq are the pending event's
@@ -413,14 +346,6 @@ type SkipStats struct {
 	RouterTicksElided int64
 	// ActiveHist[k] counts executed cycles that ticked exactly k routers.
 	ActiveHist []int64
-	// Tile-parallel barrier accounting (zero on untiled networks).
-	// TileWindows counts planned lookahead windows; TileBarriers counts the
-	// windows that ended in a real merge (outbox drain + accumulator
-	// replay); TileBarriersElided counts the merges skipped because every
-	// cross-tile outbox was empty and no probe or audit scan forced one.
-	TileWindows        int64
-	TileBarriers       int64
-	TileBarriersElided int64
 }
 
 // ElisionRatio reports the fraction of baseline router ticks skipped.
@@ -510,13 +435,6 @@ func New(cfg Config) (*Network, error) {
 		n.injectors = append(n.injectors, &injector{})
 	}
 
-	// Tile partitioning must precede link construction: a tiled channel's
-	// link schedules its transition and serialization events on the
-	// scheduler of the tile owning its source router.
-	if cfg.Tiles > 1 {
-		n.initTiles(cfg.Tiles)
-	}
-
 	// Channels: one DVS link per directed channel, plus the policy
 	// controller at its source output port.
 	n.linkAt = make([][]*link.DVSLink, topo.Nodes())
@@ -525,7 +443,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	for _, ch := range topo.Channels() {
 		port := topo.PortFor(ch.Dim, ch.Dir)
-		l := link.NewDVSLink(table, n.schedFor(ch.Src), start)
+		l := link.NewDVSLink(table, n.Sched, start)
 		n.linkAt[ch.Src][port] = l
 		out := n.Routers[ch.Src].Outputs[port]
 		out.Link = l
@@ -544,25 +462,6 @@ func New(cfg Config) (*Network, error) {
 		upstream := n.Routers[ch.Src].Outputs[outPort]
 		revPort := topo.PortFor(ch.Dim, 1-ch.Dir)
 		rev := n.linkAt[ch.Dst][revPort] // channel ch.Dst -> ch.Src
-		if n.tiles != nil {
-			// The closure always runs on the tile owning ch.Dst (credit
-			// returns fire while that router's input port frees a slot);
-			// the credited output port belongs to the tile owning ch.Src.
-			gen, rcv := n.tiles[n.tileOf[ch.Dst]], n.tileOf[ch.Src]
-			n.Routers[ch.Dst].SetCreditReturn(inPort, func(vc int, now sim.Time) {
-				delay := n.Cfg.RouterPeriod
-				if rev != nil {
-					delay = rev.Period()
-				}
-				if rcv == gen.id {
-					gen.enqueueCredit(upstream, vc, now+delay)
-				} else {
-					gen.outbox[rcv] = append(gen.outbox[rcv],
-						tileMsg{at: now + delay, node: -1, out: upstream, vc: vc})
-				}
-			})
-			continue
-		}
 		n.Routers[ch.Dst].SetCreditReturn(inPort, func(vc int, now sim.Time) {
 			delay := n.Cfg.RouterPeriod
 			if rev != nil {
@@ -584,10 +483,9 @@ func New(cfg Config) (*Network, error) {
 	n.injMask = make([]uint64, words)
 	n.skips.ActiveHist = make([]int64, nodes+1)
 	n.noskip = cfg.NoSkip
-	if n.noskip && n.tiles == nil {
+	if n.noskip {
 		// Degenerate masks: every router ticks and every injector is
 		// scanned each cycle, exactly the pre-activity-tracking loops.
-		// (Tiled networks keep per-tile masks; initTiles degenerates them.)
 		for i := 0; i < nodes; i++ {
 			n.markActive(i)
 			n.markInject(i)
@@ -612,31 +510,22 @@ func (n *Network) Auditor() *audit.Checker { return n.aud }
 // walkTransit shows the audit everything in flight outside router state:
 // ring-buffered arrivals and credits, scheduler-fallback messages, and
 // partially injected packets at sources. Queued whole packets have no
-// flits yet and are tracked by the audit's own ledger. Tiled networks walk
-// the per-tile rings, slow lists and outboxes instead of the global ones
-// (audit scans run at barriers, where outboxes have just drained, but the
-// walk covers them anyway so the conservation argument has no gaps).
+// flits yet and are tracked by the audit's own ledger.
 func (n *Network) walkTransit(v audit.TransitVisitor) {
-	if n.tiles != nil {
-		for _, t := range n.tiles {
-			t.walkTransit(v)
+	for i := range n.ring {
+		b := &n.ring[i]
+		for _, a := range b.arrivals {
+			v.Flit(a.in, a.flit)
 		}
-	} else {
-		for i := range n.ring {
-			b := &n.ring[i]
-			for _, a := range b.arrivals {
-				v.Flit(a.in, a.flit)
-			}
-			for _, cm := range b.credits {
-				v.Credit(cm.out, cm.vc)
-			}
+		for _, cm := range b.credits {
+			v.Credit(cm.out, cm.vc)
 		}
-		for _, s := range n.slow {
-			if s.in != nil {
-				v.Flit(s.in, s.flit)
-			} else {
-				v.Credit(s.out, s.vc)
-			}
+	}
+	for _, s := range n.slow {
+		if s.in != nil {
+			v.Flit(s.in, s.flit)
+		} else {
+			v.Credit(s.out, s.vc)
 		}
 	}
 	for node, inj := range n.injectors {
@@ -699,9 +588,6 @@ func (n *Network) LinkAt(node, dim int, dir topology.Direction) *link.DVSLink {
 // Inject enqueues one packet at a source node. It is the traffic.Injector
 // for this network.
 func (n *Network) Inject(src, dst int, now sim.Time, task int64) {
-	if n.tiles != nil {
-		panic("network: Inject on a tiled network — attach a recorded trace via Launch")
-	}
 	if src == dst {
 		return
 	}
@@ -729,9 +615,6 @@ func (n *Network) Now() sim.Time { return n.Sched.Now() }
 // are skipped; skipping them is exact, because an idle router's Tick,
 // transmit and eject phases are provable no-ops (see Router.Busy).
 func (n *Network) Step() {
-	if n.tiles != nil {
-		panic("network: Step on a tiled network — use Run")
-	}
 	now := sim.Time(n.cycle) * n.Cfg.RouterPeriod
 	n.Sched.RunUntil(now)
 	n.drainRing(now)
@@ -788,10 +671,6 @@ func (n *Network) Step() {
 // tick, each audit scan) still executes with the same cycle number and the
 // same simulation instant as in the cycle-by-cycle baseline.
 func (n *Network) Run(cycles int64) {
-	if n.tiles != nil {
-		n.runTiled(cycles)
-		return
-	}
 	target := n.cycle + cycles
 	for n.cycle < target {
 		if !n.noskip && n.activeCount == 0 && n.injCount == 0 && n.ringCount == 0 {
@@ -1213,20 +1092,8 @@ func (n *Network) Snapshot() Results {
 func (n *Network) Launch(m traffic.Model, horizon sim.Time) {
 	n.model, n.horizon = m, horizon
 	if tr, ok := m.(*traffic.Trace); ok {
-		if n.tiles != nil {
-			// Each tile replays its own source-filtered projection of the
-			// trace on its own scheduler; order and timestamps per source
-			// are exactly the sequential replay's.
-			for _, t := range n.tiles {
-				t.replay = tr.LaunchReplayFiltered(&t.sched, horizon, t.inject, t.owns)
-			}
-			return
-		}
 		n.replay = tr.LaunchReplay(n.Sched, horizon, n.Inject)
 		return
-	}
-	if n.tiles != nil {
-		panic("network: tiled simulation requires a recorded trace workload (traffic.Capture)")
 	}
 	m.Launch(n.Sched, horizon, n.Inject)
 }

@@ -305,11 +305,6 @@ func (r *Router) Busy() bool {
 // the network's transmit phase can skip the whole router in one compare.
 func (r *Router) LinkTxQueued() int { return r.txLink }
 
-// BufferedFlits reports the flits currently held in input buffers across
-// all ports — the occupancy the tile-parallel engine's lookahead extraction
-// reads to find routers whose buffered traffic could reach a tile boundary.
-func (r *Router) BufferedFlits() int { return r.bufFlits }
-
 // TxPortMask reports the bitmask of output ports (bit 1<<port) with queued
 // tx entries; the network's transmit phase iterates its set bits.
 func (r *Router) TxPortMask() uint32 { return r.txMask }

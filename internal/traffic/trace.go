@@ -82,17 +82,13 @@ func (t *Trace) At(i int) Arrival {
 }
 
 // cursor is a streaming window over an encoded trace: one decoded block,
-// re-loaded on demand as the index moves. A private cursor decodes into
-// its own reused buffer; a shared cursor borrows read-only blocks from the
-// trace's shared decoded-block cache, so N concurrent replays of one trace
-// decode each block once between them instead of once each. Sequential
-// walks load each block exactly once; a seek (checkpoint resume) costs one
-// block load.
+// re-loaded on demand as the index moves, decoded into the cursor's own
+// reused buffer. Sequential walks load each block exactly once; a seek
+// (checkpoint resume) costs one block load.
 type cursor struct {
-	enc    *tracestore.Encoded
-	shared bool // borrow blocks from the shared cache instead of decoding
-	base   int  // index of buf[0]
-	buf    []Arrival
+	enc  *tracestore.Encoded
+	base int // index of buf[0]
+	buf  []Arrival
 }
 
 func (c *cursor) at(i int) Arrival {
@@ -103,15 +99,7 @@ func (c *cursor) at(i int) Arrival {
 }
 
 func (c *cursor) load(block int) {
-	var buf []Arrival
-	var err error
-	if c.shared {
-		// The shared slice is read-only and must never be handed back to
-		// DecodeBlock as scratch; at() only ever reads it.
-		buf, err = c.enc.SharedBlock(block)
-	} else {
-		buf, err = c.enc.DecodeBlock(block, c.buf)
-	}
+	buf, err := c.enc.DecodeBlock(block, c.buf)
 	if err != nil {
 		// Unreachable for store-loaded traces (Decode verified the
 		// checksum) and for captures (we encoded them); reaching it means
@@ -172,10 +160,6 @@ func (r *Replay) Done() bool { return r.i >= r.tr.Len() }
 func (r *Replay) Trace() *Trace { return r.tr }
 
 func (t *Trace) newReplay(sched *sim.Scheduler, inject Injector) *Replay {
-	// A plain replay has exactly one cursor streaming the trace, so it keeps
-	// the private reused decode buffer (zero steady-state allocations). Only
-	// the filtered walk goes through the shared cache: that is the path N
-	// tile cursors use to stream one trace concurrently.
 	r := &Replay{tr: t, sched: sched, inject: inject, cur: cursor{enc: t.enc}}
 	n := t.Len()
 	r.step = func() {
@@ -214,50 +198,6 @@ func (t *Trace) LaunchReplay(sched *sim.Scheduler, horizon sim.Time, inject Inje
 	r := t.newReplay(sched, inject)
 	if t.Len() > 0 {
 		r.pendSeq = sched.At(r.cur.at(0).At, r.step)
-	}
-	return r
-}
-
-// LaunchReplayFiltered replays only the arrivals whose source node
-// satisfies keep, as a chained batch-event walk on sched. The chain skips
-// timestamps with no kept arrivals entirely, so a tile's scheduler sees
-// events only at the instants its own sources inject — the per-tile
-// projection of the recorded schedule, in recorded order. Kept arrivals are
-// injected with exactly the timestamps and relative order of LaunchReplay;
-// the horizon contract is the same.
-func (t *Trace) LaunchReplayFiltered(sched *sim.Scheduler, horizon sim.Time, inject Injector, keep func(src int) bool) *Replay {
-	if horizon != t.Horizon() {
-		panic(fmt.Sprintf("traffic: trace captured for horizon %v replayed with %v", t.Horizon(), horizon))
-	}
-	r := &Replay{tr: t, sched: sched, inject: inject, cur: cursor{enc: t.enc, shared: true}}
-	n := t.Len()
-	next := func(i int) int {
-		for i < n && !keep(int(r.cur.at(i).Src)) {
-			i++
-		}
-		return i
-	}
-	r.step = func() {
-		i := r.i
-		at := r.cur.at(i).At
-		for i < n {
-			a := r.cur.at(i)
-			if a.At != at {
-				break
-			}
-			if keep(int(a.Src)) {
-				r.inject(int(a.Src), int(a.Dst), at, a.Task)
-			}
-			i++
-		}
-		r.i = next(i)
-		if r.i < n {
-			r.pendSeq = r.sched.At(r.cur.at(r.i).At, r.step)
-		}
-	}
-	r.i = next(0)
-	if r.i < n {
-		r.pendSeq = sched.At(r.cur.at(r.i).At, r.step)
 	}
 	return r
 }
@@ -325,8 +265,8 @@ func TwoLevelTraceKey(p TwoLevelParams, topo *topology.Cube, horizon sim.Time) s
 
 // TwoLevelTraceEligible reports whether a workload fits the per-trace
 // budget — the same test SharedTwoLevelTrace applies — and, when it does
-// not, why. Callers use it to predict trace (and therefore tile)
-// eligibility without capturing anything.
+// not, why. Callers use it to predict trace eligibility without capturing
+// anything.
 func TwoLevelTraceEligible(p TwoLevelParams, horizon sim.Time) (ok bool, reason string) {
 	if p.CyclePeriod <= 0 {
 		return false, "two-level cycle period is not positive"

@@ -245,85 +245,11 @@ func TestCaptureVsDecodeReplayIdentity(t *testing.T) {
 	}
 }
 
-// The filtered (per-tile) projection must also match between a captured
-// trace and its decoded twin.
-func TestCaptureVsDecodeFilteredIdentity(t *testing.T) {
-	p := NewTwoLevelParams(0.3)
-	p.Seed = 13
-	topo := topology.NewMesh2D(8)
-	m, err := NewTwoLevel(p, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := 10 * sim.Microsecond
-	captured := Capture(m, horizon)
-	enc, err := tracestore.Decode(captured.Encoded().Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded := FromEncoded(enc)
-	keep := func(src int) bool { return src%2 == 0 }
-	run := func(tr *Trace) []Arrival {
-		var sched sim.Scheduler
-		var got []Arrival
-		tr.LaunchReplayFiltered(&sched, horizon, func(src, dst int, at sim.Time, task int64) {
-			got = append(got, Arrival{At: at, Task: task, Src: int32(src), Dst: int32(dst)})
-		}, keep)
-		sched.RunUntil(horizon)
-		return got
-	}
-	a, b := run(captured), run(decoded)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("filtered projections differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("filtered injection %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // The trace must keep the captured model's name: experiment output embeds
 // it, and a point must render identically whether it ran live or replayed.
 func TestTraceName(t *testing.T) {
 	m := testTwoLevel(t, 0.5, 3)
 	if tr := Capture(m, sim.Microsecond); tr.Name() != m.Name() {
 		t.Fatalf("trace name %q, want %q", tr.Name(), m.Name())
-	}
-}
-
-// N replays of one trace must decode each block once between them, not
-// once each: replay cursors borrow read-only blocks from the trace's
-// shared decoded-block cache, and decoding happens under the cache lock
-// so even concurrent misses on one block cost a single decode.
-func TestSharedBlockDecodeCount(t *testing.T) {
-	const blocks = 3
-	n := blocks * tracestore.DefaultBlockLen
-	recs := make([]Arrival, n)
-	for i := range recs {
-		recs[i] = Arrival{At: sim.Time(i + 1), Task: int64(i), Src: int32(i % 64), Dst: int32((i + 7) % 64)}
-	}
-	horizon := sim.Time(n + 1)
-	tr := FromEncoded(tracestore.EncodeRecords("synthetic", horizon, recs))
-	if got := tr.Encoded().Blocks(); got != blocks {
-		t.Fatalf("trace has %d blocks, want %d", got, blocks)
-	}
-	// Filtered replays are the shared-cache path (tiled runs stream one
-	// trace through N per-tile cursors); each block must decode once no
-	// matter how many cursors walk it.
-	const replays = 4
-	total := 0
-	for k := 0; k < replays; k++ {
-		var sched sim.Scheduler
-		tr.LaunchReplayFiltered(&sched, horizon,
-			func(int, int, sim.Time, int64) { total++ },
-			func(int) bool { return true })
-		sched.RunUntil(horizon)
-	}
-	if total != replays*n {
-		t.Fatalf("replays injected %d arrivals, want %d", total, replays*n)
-	}
-	if got := tr.Encoded().DecodeCount(); got != blocks {
-		t.Fatalf("DecodeCount = %d after %d replays of %d blocks, want %d (one decode per block)", got, replays, blocks, blocks)
 	}
 }

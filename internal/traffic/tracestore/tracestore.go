@@ -39,8 +39,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -205,9 +203,8 @@ func EncodeRecords(name string, horizon sim.Time, recs []Record) *Encoded {
 
 // Encoded is an encoded trace: the wire bytes plus the block offset table
 // derived from the header. The wire form is immutable and safe to share
-// across goroutines; mutable decode state lives either in per-caller
-// cursors (DecodeBlock) or behind the internal lock of the shared decoded-
-// block cache (SharedBlock).
+// across goroutines; mutable decode state lives in per-caller cursors
+// (DecodeBlock).
 type Encoded struct {
 	name     string
 	horizon  sim.Time
@@ -215,27 +212,7 @@ type Encoded struct {
 	blockLen int
 	buf      []byte
 	blockOff []int // len Blocks()+1, byte offsets into buf
-
-	// Shared decoded-block cache: a small move-to-front LRU serving
-	// concurrent replays of the same trace, so N cursors walking the
-	// blocks near-lockstep decode each block once instead of N times.
-	// decodes counts actual block decodes (DecodeCount pins this).
-	mu      sync.Mutex
-	shared  []cachedBlock
-	decodes int64
 }
-
-// cachedBlock is one shared decoded block; recs is read-only once cached.
-type cachedBlock struct {
-	idx  int
-	recs []Record
-}
-
-// sharedCacheBlocks bounds the shared decoded-block LRU. Concurrent
-// replays of one trace advance near-lockstep (they walk the same recorded
-// schedule), so a handful of blocks absorbs their skew; 8 blocks of 4096
-// records is ~768 KiB at the default block length.
-const sharedCacheBlocks = 8
 
 // Bytes returns the wire form, suitable for Decode; callers must not
 // mutate it.
@@ -388,7 +365,6 @@ func (e *Encoded) DecodeBlock(i int, dst []Record) ([]Record, error) {
 	if i < 0 || i >= e.Blocks() {
 		return nil, fmt.Errorf("tracestore: block %d outside [0,%d)", i, e.Blocks())
 	}
-	atomic.AddInt64(&e.decodes, 1)
 	n := e.blockRecords(i)
 	r := reader{b: e.buf[:e.blockOff[i+1]], off: e.blockOff[i]}
 	dst = dst[:0]
@@ -424,39 +400,6 @@ func (e *Encoded) DecodeBlock(i int, dst []Record) ([]Record, error) {
 	}
 	return dst, nil
 }
-
-// SharedBlock returns block i decoded, serving it from the trace's shared
-// decoded-block cache when present. The returned slice is shared between
-// callers and MUST be treated as read-only; it stays valid after eviction
-// (eviction only stops sharing it). Decoding happens under the cache lock,
-// so concurrent callers asking for the same block perform one decode
-// between them — the property the decode-count test pins.
-func (e *Encoded) SharedBlock(i int) ([]Record, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for k := range e.shared {
-		if e.shared[k].idx == i {
-			cb := e.shared[k]
-			copy(e.shared[1:k+1], e.shared[:k])
-			e.shared[0] = cb
-			return cb.recs, nil
-		}
-	}
-	recs, err := e.DecodeBlock(i, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(e.shared) < sharedCacheBlocks {
-		e.shared = append(e.shared, cachedBlock{})
-	}
-	copy(e.shared[1:], e.shared[:len(e.shared)-1])
-	e.shared[0] = cachedBlock{idx: i, recs: recs}
-	return recs, nil
-}
-
-// DecodeCount reports the number of block decodes performed through this
-// Encoded (shared-cache hits do not decode and do not count).
-func (e *Encoded) DecodeCount() int64 { return atomic.LoadInt64(&e.decodes) }
 
 // Validate streams every block through a reused buffer and verifies the
 // one invariant the structural checks cannot see: global time order.

@@ -34,9 +34,8 @@ func warmedKey(c Config, w TwoLevelWorkload, warmup, measure int64) (string, err
 	neutral.W, neutral.H, neutral.BCongested = 0, 0, 0
 	neutral.TLLow, neutral.TLHigh, neutral.THLow, neutral.THHigh = 0, 0, 0, 0
 	neutral.VoltTransition, neutral.FreqTransitionCycles = 0, 0
-	// The tile count is an execution strategy, not platform state: warmups
-	// are captured untiled and results are tile-independent, so the key
-	// neutralizes it too.
+	// Tiles (deprecated, 0 or 1) is zeroed so both accepted values share
+	// one key.
 	neutral.Tiles = 0
 	b, err := json.Marshal(neutral)
 	if err != nil {
@@ -97,11 +96,6 @@ func NewWarmedTwoLevel(c Config, w TwoLevelWorkload, warmup, measure int64, reus
 	if err != nil {
 		return nil, err
 	}
-	// A tiled network refuses checkpoint fork and capture, so tiled runs
-	// always simulate their warmup straight (byte-identical to a fork;
-	// pinned by the conformance suite). Skipping reuse entirely also keeps
-	// a tiled miss from quarantining a snapshot untiled runs still want.
-	reuse = reuse && lowered.Tiles <= 1
 
 	if reuse {
 		if b, ok := exp.CacheLookupRaw(key); ok {

@@ -79,24 +79,18 @@ type Config struct {
 	// results are identical with or without it; only speed differs.
 	NoSkip bool
 
-	// Tiles partitions the simulation into that many tile-parallel blocks
-	// of routers, each advanced by its own scheduler between conservative
-	// lookahead barriers, so one run can use several cores. Results are
-	// byte-identical at every tile count; only speed differs. A tiled
-	// network replays recorded workload traces only: NewWarmedTwoLevel
-	// supports it transparently, while the live Attach* workloads,
-	// hand-driven Inject and EnableTrace refuse (AttachTwoLevel returns an
-	// error; the others panic on use). 0 or 1 selects the single-scheduler
-	// engine unchanged.
+	// Tiles selected the tile-parallel engine, which has been removed.
+	// 0 and 1 both mean the single scheduler and are accepted; any other
+	// count is rejected. The field stays because run-cache keys serialize
+	// Config, and dropping it would change their bytes.
+	//
+	// Deprecated: the simulator has one sequential core.
 	Tiles int
 
-	// VerifyLookahead makes the tile-parallel engine re-check, at every
-	// merge, that each cross-tile message lands no earlier than the bound
-	// its source tile promised when the window was planned. Violations are
-	// counted rather than fatal (the engine's own due>=windowEnd panic
-	// still guards correctness). A debugging/test knob: results are
-	// identical with or without it; only speed differs. Ignored when
-	// Tiles <= 1.
+	// VerifyLookahead checked the removed tile engine's lookahead bound.
+	// Only false is accepted; the field stays for the same reason as Tiles.
+	//
+	// Deprecated: the simulator has one sequential core.
 	VerifyLookahead bool
 }
 
@@ -147,8 +141,10 @@ func (c Config) lower() (network.Config, error) {
 	cfg.Seed = c.Seed
 	cfg.Audit.Enabled = c.Audit
 	cfg.NoSkip = c.NoSkip
-	cfg.Tiles = c.Tiles
-	cfg.VerifyLookahead = c.VerifyLookahead
+	if c.Tiles < 0 || c.Tiles > 1 || c.VerifyLookahead {
+		return cfg, fmt.Errorf("noc: Tiles=%d VerifyLookahead=%t: the tile-parallel engine was removed (Tiles must be 0 or 1, VerifyLookahead false)",
+			c.Tiles, c.VerifyLookahead)
+	}
 	switch c.Policy {
 	case PolicyHistory, "":
 		cfg.Policy = network.PolicyHistory
@@ -202,9 +198,6 @@ type TwoLevelWorkload struct {
 // AttachTwoLevel arms the two-level workload for the rest of the
 // simulation (one full second of simulated time, effectively unbounded).
 func (n *Network) AttachTwoLevel(w TwoLevelWorkload) error {
-	if n.inner.Tiled() {
-		return errors.New("noc: a tiled network replays recorded traces only; use NewWarmedTwoLevel (or Config.Tiles <= 1)")
-	}
 	p := traffic.NewTwoLevelParams(w.Rate)
 	if w.Tasks > 0 {
 		p.AvgTasks = w.Tasks
@@ -367,14 +360,6 @@ type SkipStats struct {
 	ElisionRatio      float64
 	// ActiveHist[k] counts executed cycles that ticked exactly k routers.
 	ActiveHist []int64
-	// Tile-parallel barrier accounting (zero unless Config.Tiles > 1).
-	// TileWindows counts planned lookahead windows; TileBarriers counts
-	// actual cross-tile merges (including forced flushes at run
-	// boundaries); TileBarriersElided counts window ends whose merge was
-	// skipped because no cross-tile traffic was pending.
-	TileWindows        int64
-	TileBarriers       int64
-	TileBarriersElided int64
 }
 
 // SkipStats reports the activity-driven core's skip counters. With
@@ -389,9 +374,6 @@ func (n *Network) SkipStats() SkipStats {
 		RouterTicksElided:   s.RouterTicksElided,
 		ElisionRatio:        s.ElisionRatio(),
 		ActiveHist:          s.ActiveHist,
-		TileWindows:         s.TileWindows,
-		TileBarriers:        s.TileBarriers,
-		TileBarriersElided:  s.TileBarriersElided,
 	}
 }
 

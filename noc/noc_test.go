@@ -239,6 +239,26 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	if _, err := LoadConfig(dir + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
 	}
+	// The tile-parallel engine is gone: only the single-scheduler values of
+	// its deprecated fields load.
+	for _, tc := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"Tiles": 0}`, true},
+		{`{"Tiles": 1}`, true},
+		{`{"Tiles": 2}`, false},
+		{`{"Tiles": -1}`, false},
+		{`{"VerifyLookahead": true}`, false},
+	} {
+		path := dir + "/tiles.json"
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); (err == nil) != tc.ok {
+			t.Errorf("LoadConfig(%s): err = %v, want ok=%t", tc.json, err, tc.ok)
+		}
+	}
 }
 
 func TestPatternAttachments(t *testing.T) {
