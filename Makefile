@@ -7,13 +7,11 @@
 #   make short   # go test -short ./... — structural tests only, < 60 s
 #   make race    # full test suite under the race detector
 #   make fuzz    # 10s per fuzz target (go test -fuzz takes one at a time)
-#   make bench   # end-to-end Step + run-cache + checkpoint-sweep +
-#                # trace-store + scheduler + packet-alloc benchmarks; set
-#                # BENCH_COUNT=10 for benchstat samples
-#   make bench-json # regenerate the committed BENCH_pr10.json trajectory
-#   make bench-diff # bench-json + per-benchmark deltas vs BENCH_pr9.json
-#                # (the previous PR's committed baseline); fails on a >10%
-#                # ns/op or allocs/op regression
+#   make bench   # hot-path micro-benchmarks: Step and trace store (repo
+#                # root), run-cache and checkpoint sweeps (internal/exp),
+#                # scheduler and packet alloc; set BENCH_COUNT=10 for
+#                # benchstat samples. The repo benchmark is
+#                # `sh perfbench/run.sh` (see BENCHMARK.json).
 #   make golden  # regenerate testdata/golden after an intentional change
 #
 # `make short` skips the long simulations (testing.Short()); run `make test`
@@ -34,7 +32,7 @@ RACE_FAST = ./internal/sim ./internal/stats ./internal/runcache ./noc ./internal
 # Repetitions for `make bench`; benchstat wants >= 10 samples.
 BENCH_COUNT ?= 1
 
-.PHONY: check vet build test short race race-fast fuzz bench bench-json bench-diff golden
+.PHONY: check vet build test short race race-fast fuzz bench golden
 
 check: vet build short race-fast fuzz
 
@@ -74,17 +72,10 @@ fuzz:
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.
 bench:
 	$(GO) test . -run xxx -bench 'BenchmarkStep(LowLoad|Saturation)' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkRunAll(Cold|Warm)Cache' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkSweep(Straight|Checkpointed)' -benchmem -count=$(BENCH_COUNT)
-	$(GO) test . -run xxx -bench 'BenchmarkTrace(CaptureCold|DecodeWarm)|BenchmarkStoreOpenIndexed' -benchmem -count=$(BENCH_COUNT)
+	$(GO) test . -run xxx -bench 'BenchmarkTrace(CaptureCold|DecodeWarm)' -benchmem -count=$(BENCH_COUNT)
+	$(GO) test ./internal/exp -run xxx -bench 'BenchmarkRunAll(Cold|Warm)Cache|BenchmarkSweep(Straight|Checkpointed)' -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/sim -run xxx -bench BenchmarkSchedulerPushPop -benchmem -count=$(BENCH_COUNT)
 	$(GO) test ./internal/flow -run xxx -bench BenchmarkPacketAlloc -benchmem -count=$(BENCH_COUNT)
-
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json
-
-bench-diff:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -baseline BENCH_pr9.json
 
 golden:
 	$(GO) test ./internal/exp -run TestGoldenFigures -update

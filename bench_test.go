@@ -10,7 +10,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/flow"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/traffic"
+	"repro/internal/traffic/tracestore"
 )
 
 // benchExp runs one experiment per iteration with per-iteration seeds.
@@ -126,58 +126,139 @@ func BenchmarkFiguresSequential(b *testing.B) { benchFigures(b, 1) }
 // bandwidth intervenes).
 func BenchmarkFiguresParallel(b *testing.B) { benchFigures(b, 0) }
 
-// BenchmarkRunAllColdCache measures a fig10 regeneration on the tiny test
-// budget with every point missing the persistent run cache (a fresh cache
-// generation per iteration), i.e. the simulate-and-store path.
-func BenchmarkRunAllColdCache(b *testing.B) { bench.FiguresRunAll(b, false) }
-
-// BenchmarkRunAllWarmCache is the same regeneration replayed entirely from
-// disk; the cold/warm ratio is the headline number of the result cache.
-func BenchmarkRunAllWarmCache(b *testing.B) { bench.FiguresRunAll(b, true) }
-
-// BenchmarkSweepStraight runs the fig13 threshold sweep with every point
-// paying for its own warmup — the pre-checkpoint baseline.
-func BenchmarkSweepStraight(b *testing.B) { bench.Sweep(b, true) }
-
-// BenchmarkSweepCheckpointed is the same sweep with the six settings at
-// each rate forking one shared policy-frozen warmup; the ratio against
-// BenchmarkSweepStraight is the headline number of the checkpoint
-// subsystem (cmd/benchjson records both in BENCH_pr7.json).
-func BenchmarkSweepCheckpointed(b *testing.B) { bench.Sweep(b, false) }
-
 // --- Trace store benchmarks ----------------------------------------------
 
-// BenchmarkTraceCaptureCold measures the live path a point pays without
-// the trace store: build the two-level model and capture its arrivals.
-func BenchmarkTraceCaptureCold(b *testing.B) { bench.TraceCaptureCold(b) }
+// traceBenchHorizon is the capture window of the trace codec benchmarks:
+// long enough for a few tens of thousands of arrivals at the default 8x8
+// two-level workload, short enough that one capture stays well under a
+// second.
+const traceBenchHorizon = 20 * sim.Microsecond
 
-// BenchmarkTraceDecodeWarm measures the store-backed replacement — decode,
-// validate and replay the same workload's compressed encoding; the ratio
-// against BenchmarkTraceCaptureCold is the headline number of the trace
-// store (cmd/benchjson records it in BENCH_pr9.json).
-func BenchmarkTraceDecodeWarm(b *testing.B) { bench.TraceDecodeWarm(b) }
+// BenchmarkTraceCaptureCold measures what a point pays without the trace
+// store: constructing the two-level workload model and capturing its
+// arrival sequence by running it through a scheduler. The captured trace
+// is encoded incrementally as it records, so the cost includes the codec's
+// write side.
+func BenchmarkTraceCaptureCold(b *testing.B) {
+	topo := topology.NewMesh2D(8)
+	p := traffic.NewTwoLevelParams(1.0)
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		m, err := traffic.NewTwoLevel(p, topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = traffic.Capture(m, traceBenchHorizon).Len()
+	}
+	if n == 0 {
+		b.Fatal("capture recorded no arrivals")
+	}
+	b.ReportMetric(float64(n), "arrivals")
+}
 
-// BenchmarkStoreOpenIndexed opens a 1000-entry cache directory through its
-// index sidecar: one sidecar read, zero per-entry stats.
-func BenchmarkStoreOpenIndexed(b *testing.B) { bench.StoreOpenIndexed(b, 1000) }
+// BenchmarkTraceDecodeWarm measures the store-backed replacement: decoding
+// the same workload's stored encoding (checksum, structural validation,
+// cross-block time-order check — the full path Store.Load takes) and
+// replaying every arrival through a scheduler. The ratio against
+// BenchmarkTraceCaptureCold is the headline number of the trace store.
+func BenchmarkTraceDecodeWarm(b *testing.B) {
+	topo := topology.NewMesh2D(8)
+	m, err := traffic.NewTwoLevel(traffic.NewTwoLevelParams(1.0), topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := traffic.Capture(m, traceBenchHorizon)
+	raw := tr.Encoded().Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := tracestore.Decode(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := enc.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		var sched sim.Scheduler
+		got := 0
+		traffic.FromEncoded(enc).Launch(&sched, traceBenchHorizon, func(int, int, sim.Time, int64) { got++ })
+		sched.RunUntil(traceBenchHorizon)
+		if got != tr.Len() {
+			b.Fatalf("replayed %d of %d arrivals", got, tr.Len())
+		}
+	}
+	b.ReportMetric(float64(tr.Len()), "arrivals")
+}
 
 // --- Activity-driven core benchmarks -------------------------------------
+
+// The Step benchmarks run the paper's 8x8 platform at two operating points
+// of its load sweep: near-idle, where the activity-driven core should elide
+// almost every router tick, and past saturation, where every router is busy
+// and the active list must cost (almost) nothing.
+const (
+	lowLoadRate    = 0.05
+	saturationRate = 4.0
+)
+
+// benchStep measures b.N router cycles of the paper's full 8x8 platform
+// under a two-level workload at the given aggregate rate. The workload is
+// captured as an arrival trace before the timer starts and replayed during
+// the timed region, so the benchmark measures the network datapath — the
+// saturation sweep's steady state, where experiment runs share memoized
+// traces — not workload generation. It reports two extra metrics:
+// cycles/sec (router-cycle throughput) and elision-ratio (the fraction of
+// baseline router ticks the activity-driven core skipped during the timed
+// region; zero when noskip pins the always-tick path).
+func benchStep(b *testing.B, rate float64, noskip bool) {
+	cfg := network.NewConfig()
+	cfg.NoSkip = noskip
+	n, err := network.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := traffic.NewTwoLevelParams(rate)
+	m, err := traffic.NewTwoLevel(p, n.Topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const prime = 5000 // cycles to fill the pipelines before timing
+	horizon := sim.Time(prime+int64(b.N)+2) * n.Cfg.RouterPeriod
+	n.Launch(traffic.Capture(m, horizon), horizon)
+	n.Run(prime)
+	before := n.SkipStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n.Run(int64(b.N))
+	b.StopTimer()
+	after := n.SkipStats()
+	ticks := after.RouterTicks - before.RouterTicks
+	elided := after.RouterTicksElided - before.RouterTicksElided
+	if total := ticks + elided; total > 0 {
+		b.ReportMetric(float64(elided)/float64(total), "elision-ratio")
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
+	}
+}
 
 // BenchmarkStepLowLoad measures router-cycle throughput at a near-idle
 // operating point (rate 0.05), where the activity-driven core elides almost
 // every router tick. Compare against BenchmarkStepLowLoadNoSkip for the
-// speedup; cmd/benchjson records both in BENCH_pr4.json.
-func BenchmarkStepLowLoad(b *testing.B) { bench.Step(b, bench.LowLoadRate, false) }
+// speedup.
+func BenchmarkStepLowLoad(b *testing.B) { benchStep(b, lowLoadRate, false) }
 
 // BenchmarkStepLowLoadNoSkip is the same point on the always-tick path.
-func BenchmarkStepLowLoadNoSkip(b *testing.B) { bench.Step(b, bench.LowLoadRate, true) }
+func BenchmarkStepLowLoadNoSkip(b *testing.B) { benchStep(b, lowLoadRate, true) }
 
 // BenchmarkStepSaturation measures the saturated platform (rate 4.0), where
 // the active list is dense and its bookkeeping must cost (almost) nothing.
-func BenchmarkStepSaturation(b *testing.B) { bench.Step(b, bench.SaturationRate, false) }
+func BenchmarkStepSaturation(b *testing.B) { benchStep(b, saturationRate, false) }
 
 // BenchmarkStepSaturationNoSkip is the saturated always-tick baseline.
-func BenchmarkStepSaturationNoSkip(b *testing.B) { bench.Step(b, bench.SaturationRate, true) }
+func BenchmarkStepSaturationNoSkip(b *testing.B) { benchStep(b, saturationRate, true) }
 
 // --- Substrate micro-benchmarks ------------------------------------------
 

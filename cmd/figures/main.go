@@ -42,7 +42,6 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		auditFlag  = flag.Bool("audit", false, "run every simulation under the runtime invariant checker (slower, same output)")
 		noskip     = flag.Bool("noskip", false, "disable the activity-driven simulation core (slower, same output)")
-		ckpt       = flag.Bool("checkpoint", true, "share one policy-frozen warmup per (seed, rate) across policy variants via checkpoint/fork (same output)")
 		noCkpt     = flag.Bool("no-checkpoint", false, "every simulation point pays for its own warmup (slower, same output)")
 		jobs       = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		prefetch   = flag.Bool("prefetch", false, "report which run-cache keys the selected experiments would hit or miss; no simulations run")
@@ -102,7 +101,7 @@ func main() {
 
 	o := noc.ExperimentOptions{
 		Quick: *quick, Full: *full, Seed: *seed, Audit: *auditFlag, NoSkip: *noskip,
-		NoCheckpoint: *noCkpt || !*ckpt,
+		NoCheckpoint: *noCkpt,
 	}
 	var ids []string
 	switch {

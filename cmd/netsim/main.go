@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -46,7 +47,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		audit    = flag.Bool("audit", false, "verify runtime invariants (conservation, VC and DVS legality) during the run")
 		noskip   = flag.Bool("noskip", false, "disable the activity-driven core (tick every router every cycle); identical results, slower")
-		ckpt     = flag.Bool("checkpoint", true, "reuse a persisted policy-frozen warmup snapshot across runs (twolevel traffic, cache enabled); identical results")
 		noCkpt   = flag.Bool("no-checkpoint", false, "always simulate the warmup; identical results, slower across policy sweeps")
 		skipst   = flag.Bool("skipstats", false, "print activity-driven core statistics (fast-forwards, elided ticks, active-router histogram)")
 		levels   = flag.Bool("levels", false, "print the final DVS level histogram")
@@ -146,7 +146,7 @@ func main() {
 			cfgJSON, *traffic, *rate, *tasks, int64(*taskDur), *warmup, *measure, *seed)
 		var cs cachedSummary
 		if noc.RunCacheLookup(cacheKey, &cs) {
-			printSummary(cs.Results, cs.InFlight, *mesh, *torus, *policy, *routing,
+			printSummary(os.Stdout, cfg, cs.Results, cs.InFlight,
 				*traffic, *rate, *tasks, *taskDur, *warmup)
 			return
 		}
@@ -168,11 +168,11 @@ func main() {
 	var err error
 	if *traffic == "twolevel" {
 		// The warmup runs policy-frozen on a captured trace; with the run
-		// cache enabled and -checkpoint (the default), it forks a persisted
+		// cache enabled and without -no-checkpoint, it forks a persisted
 		// snapshot when a compatible invocation already simulated it.
 		n, err = noc.NewWarmedTwoLevel(cfg, noc.TwoLevelWorkload{
 			Rate: *rate, Tasks: *tasks, TaskDuration: *taskDur, Seed: *seed,
-		}, *warmup, *measure, *ckpt && !*noCkpt)
+		}, *warmup, *measure, !*noCkpt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "netsim:", err)
 			os.Exit(1)
@@ -228,7 +228,7 @@ func main() {
 		f.Close()
 	}
 
-	printSummary(r, n.InFlight(), *mesh, *torus, *policy, *routing,
+	printSummary(os.Stdout, cfg, r, n.InFlight(),
 		*traffic, *rate, *tasks, *taskDur, *warmup)
 	if s, ok := n.AuditStats(); ok {
 		fmt.Printf("audit      : %d scans, %d checks, %d violations\n",
@@ -260,18 +260,20 @@ type cachedSummary struct {
 }
 
 // printSummary renders the standard result block for a live or cached run.
-func printSummary(r noc.Results, inFlight int64, mesh int, torus bool, policy, routing,
+// The platform line comes from the effective config (a -config file plus
+// any explicit flag overrides), not from the flag values.
+func printSummary(w io.Writer, cfg noc.Config, r noc.Results, inFlight int64,
 	traffic string, rate float64, tasks int, taskDur time.Duration, warmup int64) {
-	fmt.Printf("platform   : %dx%d mesh(torus=%v), policy=%s, routing=%s\n",
-		mesh, mesh, torus, policy, routing)
-	fmt.Printf("workload   : %s rate=%.2f (tasks=%d, dur=%v)\n", traffic, rate, tasks, taskDur)
-	fmt.Printf("cycles     : %d measured after %d warmup\n", r.Cycles, warmup)
-	fmt.Printf("packets    : %d injected, %d delivered, %d in flight\n",
+	fmt.Fprintf(w, "platform   : %dx%d mesh(torus=%v), policy=%s, routing=%s\n",
+		cfg.MeshSize, cfg.MeshSize, cfg.Torus, cfg.Policy, cfg.Routing)
+	fmt.Fprintf(w, "workload   : %s rate=%.2f (tasks=%d, dur=%v)\n", traffic, rate, tasks, taskDur)
+	fmt.Fprintf(w, "cycles     : %d measured after %d warmup\n", r.Cycles, warmup)
+	fmt.Fprintf(w, "packets    : %d injected, %d delivered, %d in flight\n",
 		r.InjectedPackets, r.DeliveredPackets, inFlight)
-	fmt.Printf("latency    : %.1f cycles mean (P50 %.0f, P99 %.0f)\n",
+	fmt.Fprintf(w, "latency    : %.1f cycles mean (P50 %.0f, P99 %.0f)\n",
 		r.MeanLatencyCycles, r.P50LatencyCycles, r.P99LatencyCycles)
-	fmt.Printf("throughput : %.3f packets/cycle\n", r.ThroughputPkts)
-	fmt.Printf("power      : %.1f W avg (%.3f of non-DVS baseline, %.2fX savings)\n",
+	fmt.Fprintf(w, "throughput : %.3f packets/cycle\n", r.ThroughputPkts)
+	fmt.Fprintf(w, "power      : %.1f W avg (%.3f of non-DVS baseline, %.2fX savings)\n",
 		r.AvgPowerW, r.NormalizedPower, r.PowerSavingsX)
 }
 

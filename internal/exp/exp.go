@@ -54,11 +54,6 @@ type Options struct {
 // occupied.
 var tinyBudget bool
 
-// SetTinyBudget toggles the tiny test/benchmark budget from outside the
-// package (internal/bench uses it for the cold-vs-warm cache benchmarks);
-// tests inside this package set tinyBudget directly.
-func SetTinyBudget(v bool) { tinyBudget = v }
-
 // budget reports (warmup, measure) cycles for the options.
 func (o Options) budget() (warm, meas int64) {
 	if tinyBudget {

@@ -86,10 +86,6 @@ type Store struct {
 	size    atomic.Int64 // approximate resident bytes; eviction recomputes exactly
 	evictMu sync.Mutex
 
-	idxMu     sync.Mutex
-	idx       map[string]indexEntry // entry basename -> recorded size/mtime (see index.go)
-	idxLoaded bool                  // Open trusted a valid sidecar (no directory scan)
-
 	hits, misses, puts      atomic.Int64
 	corrupt, evictions      atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
@@ -111,14 +107,7 @@ func Open(dir string, o Options) (*Store, error) {
 	prefix = binary.AppendUvarint(prefix, uint64(len(o.Fingerprint)))
 	prefix = append(prefix, o.Fingerprint...)
 	s := &Store{dir: dir, maxBytes: max, prefix: prefix}
-	if total, ok := s.loadIndex(); ok {
-		// Valid sidecar: trust its total and skip the directory walk
-		// entirely — no ReadDir, no per-entry stats (see index.go).
-		s.idxLoaded = true
-		s.size.Store(total)
-	} else {
-		s.size.Store(s.scanSize())
-	}
+	s.size.Store(s.scanSize())
 	return s, nil
 }
 
@@ -189,7 +178,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	s.puts.Add(1)
 	s.bytesWritten.Add(int64(len(entry)))
-	s.indexRecord(filepath.Base(s.path(key)), int64(len(entry)))
 	if s.size.Add(int64(len(entry))) > s.maxBytes {
 		s.evict()
 	}
@@ -206,11 +194,19 @@ func (s *Store) Drop(key string) {
 	}
 }
 
+// Contains reports whether key's entry is resident, without reading,
+// verifying or LRU-touching it. One stat, no counter updates: prefetch
+// dry-runs peek at hundreds of keys and must not skew hit-rate stats or
+// eviction order.
+func (s *Store) Contains(key string) bool {
+	_, err := os.Stat(s.path(key))
+	return err == nil
+}
+
 func (s *Store) quarantine(path string, size int64) {
 	if os.Remove(path) == nil {
 		s.corrupt.Add(1)
 		s.size.Add(-size)
-		s.indexForget(filepath.Base(path))
 	}
 }
 
@@ -249,15 +245,13 @@ func isTmpName(name string) bool {
 }
 
 // scanSize sums resident entry sizes (and sweeps stale temp files left by
-// crashed writers). The walk learns the exact directory state, so it also
-// rewrites the index sidecar that future Opens will trust instead.
+// crashed writers).
 func (s *Store) scanSize() int64 {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0
 	}
 	var total int64
-	var seen []indexEntry
 	cutoff := time.Now().Add(-time.Hour)
 	for _, e := range ents {
 		fi, err := e.Info()
@@ -267,12 +261,10 @@ func (s *Store) scanSize() int64 {
 		switch {
 		case filepath.Ext(e.Name()) == entrySuffix:
 			total += fi.Size()
-			seen = append(seen, indexEntry{Name: e.Name(), Size: fi.Size(), Mtime: fi.ModTime().UnixNano()})
 		case isTmpName(e.Name()) && fi.ModTime().Before(cutoff):
 			os.Remove(filepath.Join(s.dir, e.Name())) // abandoned tmp file
 		}
 	}
-	s.indexReplace(seen)
 	return total
 }
 
@@ -295,16 +287,8 @@ func (s *Store) evict() {
 	}
 	var files []ent
 	var total int64
-	cutoff := time.Now().Add(-time.Hour)
 	for _, e := range ents {
 		if filepath.Ext(e.Name()) != entrySuffix {
-			// Indexed opens skip the scan that used to sweep abandoned
-			// temp files, so the eviction walk sweeps them instead.
-			if isTmpName(e.Name()) {
-				if fi, err := e.Info(); err == nil && fi.ModTime().Before(cutoff) {
-					os.Remove(filepath.Join(s.dir, e.Name()))
-				}
-			}
 			continue
 		}
 		fi, err := e.Info()
@@ -320,7 +304,6 @@ func (s *Store) evict() {
 		}
 		return files[i].path < files[j].path // deterministic tie-break
 	})
-	removed := make(map[string]bool)
 	for _, f := range files {
 		if total <= s.maxBytes {
 			break
@@ -328,15 +311,7 @@ func (s *Store) evict() {
 		if os.Remove(f.path) == nil {
 			total -= f.size
 			s.evictions.Add(1)
-			removed[filepath.Base(f.path)] = true
 		}
 	}
 	s.size.Store(total)
-	survivors := make([]indexEntry, 0, len(files)-len(removed))
-	for _, f := range files {
-		if name := filepath.Base(f.path); !removed[name] {
-			survivors = append(survivors, indexEntry{Name: name, Size: f.size, Mtime: f.mod.UnixNano()})
-		}
-	}
-	s.indexReplace(survivors)
 }

@@ -2,6 +2,8 @@ package runcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -349,4 +351,138 @@ func TestOpenSweepsOnlyAbandonedTmpFiles(t *testing.T) {
 	if _, err := os.Stat(abandoned); !os.IsNotExist(err) {
 		t.Errorf("abandoned tmp file survived the sweep (err=%v)", err)
 	}
+}
+
+// Contains must answer presence without perturbing stats or LRU state.
+func TestContains(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Fingerprint: "fp"})
+	if s.Contains("k") {
+		t.Fatal("empty store claims containment")
+	}
+	if err := s.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Contains("k") {
+		t.Fatal("stored key not contained")
+	}
+	st := s.Stats()
+	if st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Contains moved lookup counters: %+v", st)
+	}
+}
+
+// TestOpenIgnoresStaleIndex: Open learns its size from the directory
+// alone. Earlier builds kept an index.rci sidecar (magic, SHA-256 of a
+// JSON body, body) and trusted its total; a sibling process deleting
+// entries behind that sidecar left the size counter wrong. Here entries
+// vanish behind a well-formed sidecar that still lists them, and the
+// reopened store must report the exact bytes actually resident. A Put
+// must then add exactly one entry file and touch nothing else.
+func TestOpenIgnoresStaleIndex(t *testing.T) {
+	dir := t.TempDir()
+	a := open(t, dir, Options{Fingerprint: "fp"})
+	for i := 0; i < 10; i++ {
+		if err := a.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type indexEntry struct {
+		Name  string `json:"name"`
+		Size  int64  `json:"size"`
+		Mtime int64  `json:"mtime"`
+	}
+	var listed []indexEntry
+	var listedTotal int64
+	for _, e := range listDir(t, dir) {
+		if filepath.Ext(e.name) != entrySuffix {
+			continue
+		}
+		listed = append(listed, indexEntry{Name: e.name, Size: e.size, Mtime: e.mod.UnixNano()})
+		listedTotal += e.size
+		if len(listed)%3 == 0 { // a sibling process removes it behind the sidecar
+			if err := os.Remove(filepath.Join(dir, e.name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	body, err := json.Marshal(struct {
+		Version int          `json:"version"`
+		Count   int          `json:"count"`
+		Total   int64        `json:"total"`
+		Entries []indexEntry `json:"entries"`
+	}{1, len(listed), listedTotal, listed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	sidecar := append(append([]byte("RCINDEX1"), sum[:]...), body...)
+	if err := os.WriteFile(filepath.Join(dir, "index.rci"), sidecar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var resident int64
+	for _, e := range listDir(t, dir) {
+		if filepath.Ext(e.name) == entrySuffix {
+			resident += e.size
+		}
+	}
+	if resident == listedTotal {
+		t.Fatal("fixture deleted nothing")
+	}
+	b := open(t, dir, Options{Fingerprint: "fp"})
+	if got := b.size.Load(); got != resident {
+		t.Fatalf("reopened store sized at %d bytes, %d resident (stale sidecar says %d)",
+			got, resident, listedTotal)
+	}
+
+	before := make(map[string]dirEntry)
+	for _, e := range listDir(t, dir) {
+		before[e.name] = e
+	}
+	if err := b.Put("new", []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	after := listDir(t, dir)
+	entry := filepath.Base(b.path("new"))
+	if _, ok := before[entry]; ok {
+		t.Fatalf("fixture already held %s", entry)
+	}
+	for _, e := range after {
+		old, existed := before[e.name]
+		switch {
+		case e.name == entry:
+		case !existed:
+			t.Errorf("Put created %s besides its entry file", e.name)
+		case old.size != e.size || !old.mod.Equal(e.mod):
+			t.Errorf("Put rewrote %s besides its entry file", e.name)
+		}
+	}
+	if len(after) != len(before)+1 {
+		t.Errorf("directory went from %d to %d files on one Put, want exactly one new entry", len(before), len(after))
+	}
+}
+
+type dirEntry struct {
+	name string
+	size int64
+	mod  time.Time
+}
+
+// listDir snapshots a directory's files in name order.
+func listDir(t *testing.T, dir string) []dirEntry {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]dirEntry, 0, len(ents))
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, dirEntry{e.Name(), fi.Size(), fi.ModTime()})
+	}
+	return out
 }

@@ -145,6 +145,11 @@ func (c Config) lower() (network.Config, error) {
 		return cfg, fmt.Errorf("noc: Tiles=%d VerifyLookahead=%t: the tile-parallel engine was removed (Tiles must be 0 or 1, VerifyLookahead false)",
 			c.Tiles, c.VerifyLookahead)
 	}
+	// MinimalAdaptive panics on the first route over a torus or a single
+	// VC; reject such a config here instead.
+	if c.Routing == "adaptive" && (c.Torus || c.VCs < 2) {
+		return cfg, fmt.Errorf("noc: adaptive routing needs a mesh with >= 2 VCs (Torus=%t, VCs=%d)", c.Torus, c.VCs)
+	}
 	switch c.Policy {
 	case PolicyHistory, "":
 		cfg.Policy = network.PolicyHistory

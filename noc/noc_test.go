@@ -240,7 +240,8 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 	// The tile-parallel engine is gone: only the single-scheduler values of
-	// its deprecated fields load.
+	// its deprecated fields load. Adaptive routing is mesh-only; a torus
+	// config that asks for it must error, not panic on the first route.
 	for _, tc := range []struct {
 		json string
 		ok   bool
@@ -250,8 +251,11 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 		{`{"Tiles": 2}`, false},
 		{`{"Tiles": -1}`, false},
 		{`{"VerifyLookahead": true}`, false},
+		{`{"Routing": "adaptive"}`, true},
+		{`{"Torus": true, "Routing": "adaptive"}`, false},
+		{`{"VCs": 1, "Routing": "adaptive"}`, false},
 	} {
-		path := dir + "/tiles.json"
+		path := dir + "/cfg.json"
 		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
 			t.Fatal(err)
 		}
