@@ -1,7 +1,8 @@
 # Tier-1 verification plus the fast developer loop.
 #
 #   make check   # the pre-commit gate: vet + short tests + race on the fast
-#                # packages + a 10s fuzz smoke of each fuzz target
+#                # packages + a 10s fuzz smoke of each fuzz target + vet
+#                # and tests of the perfbench module (CI's check job)
 #   make test    # plain tier-1 tests (what the seed ran; includes the
 #                # quick-budget simulations and the golden-figure pin)
 #   make short   # go test -short ./... — structural tests only, < 60 s
@@ -32,9 +33,9 @@ RACE_FAST = ./internal/sim ./internal/stats ./internal/runcache ./noc ./internal
 # Repetitions for `make bench`; benchstat wants >= 10 samples.
 BENCH_COUNT ?= 1
 
-.PHONY: check vet build test short race race-fast fuzz bench golden
+.PHONY: check vet build test short race race-fast fuzz perfbench-check bench golden
 
-check: vet build short race-fast fuzz
+check: vet build short race-fast fuzz perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +68,12 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzCheckpointDecode -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/checkpoint -run xxx -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -fuzzminimizetime=10x
 	$(GO) test ./internal/traffic/tracestore -run xxx -fuzz FuzzTraceDecode -fuzztime 10s -fuzzminimizetime=10x
+
+# perfbench is its own module, so ./... never builds it; this catches facade
+# changes that would break the benchmark.
+perfbench-check:
+	GOWORK=off $(GO) -C perfbench vet ./...
+	GOWORK=off $(GO) -C perfbench test ./...
 
 # benchstat-friendly: `make bench BENCH_COUNT=10 > old.txt`, change code,
 # `make bench BENCH_COUNT=10 > new.txt`, `benchstat old.txt new.txt`.

@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -66,6 +67,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		snap, err := checkpoint.Decode(b)
 		if err != nil {
 			return
+		}
+		// Another schema's bytes must error, not misalign into some state:
+		// a dirty-tree build shares one run-cache fingerprint across edits.
+		if v := binary.LittleEndian.Uint16(b[8:10]); v != checkpoint.SchemaVersion {
+			t.Fatalf("schema %d snapshot decoded under schema %d", v, checkpoint.SchemaVersion)
 		}
 		// A successful decode must also survive a restore attempt — the
 		// restore validates, it must not panic — even though almost every

@@ -208,6 +208,9 @@ func init() {
 	register("abl-topology", "ablation: history-based DVS across topologies", runAblTopology)
 }
 
+// ablationLevels are the level counts abl-levels sweeps.
+var ablationLevels = []int{4, 10, 20, 40}
+
 // runAblLevels varies the number of discrete (f, V) levels — the paper's
 // fourth DVS-link characteristic, "whether the link supports a continuous
 // range of voltages, or only a fixed number of levels". More levels
@@ -216,7 +219,7 @@ func init() {
 func runAblLevels(o Options) []Table {
 	var labels []string
 	var specs []spec
-	for _, lv := range []int{4, 10, 20, 40} {
+	for _, lv := range ablationLevels {
 		s := defaultSpec(ablationRate, network.PolicyHistory)
 		s.levels = lv
 		labels = append(labels, fmt.Sprintf("%d levels", lv))

@@ -32,18 +32,65 @@ var warmupCycles atomic.Int64
 // process. Tests diff it around sweeps.
 func WarmupCyclesExecuted() int64 { return warmupCycles.Load() }
 
+// heldWarmup attaches m until horizon and runs warm cycles with the DVS
+// policies frozen. The hold stays on; the caller releases it.
+func heldWarmup(n *network.Network, m traffic.Model, horizon sim.Time, warm int64) {
+	n.Launch(m, horizon)
+	n.SetDVSHold(true)
+	n.Run(warm)
+	warmupCycles.Add(warm)
+}
+
+// WarmStart brings a network built from cfg to the end of a policy-frozen
+// warmup of warm cycles under trace tr, attached until horizon, and
+// returns it with the hold still on, together with the snapshot of that
+// instant. It forks the snapshot the run cache holds under key when one
+// decodes and restores into cfg; an entry that does neither is dropped
+// from the cache. Otherwise it runs the warmup, captures it and persists
+// the snapshot under key. snap is nil only when capture refuses the
+// network, which is then warmed up but not shareable.
+func WarmStart(key string, cfg network.Config, tr *traffic.Trace, horizon sim.Time, warm int64) (n *network.Network, snap *checkpoint.Snapshot, err error) {
+	ds := diskStore.Load()
+	if ds != nil {
+		if b, ok := ds.Get(key); ok {
+			if snap, err := checkpoint.Decode(b); err == nil {
+				if n, err := checkpoint.Fork(snap, cfg, tr); err == nil {
+					return n, snap, nil
+				}
+			}
+			ds.Drop(key)
+		}
+	}
+	if n, err = network.New(cfg); err != nil {
+		return nil, nil, err
+	}
+	heldWarmup(n, tr, horizon, warm)
+	if snap, err = checkpoint.Capture(n); err != nil {
+		// Refusals are a correctness escape hatch, not an error: the
+		// warmed network is as good as ever, it just cannot be shared.
+		return n, nil, nil
+	}
+	if ds != nil {
+		if b, err := checkpoint.Encode(snap); err == nil {
+			ds.Put(key, b) // a failed put costs a future warmup, nothing else
+		}
+	}
+	return n, snap, nil
+}
+
 // warmSnap is one warm-key cache slot: the captured warmed-up state and
 // the trace it ran under (forks re-attach the same trace; the snapshot
-// itself carries only the replay's progress). Both nil when the point
-// cannot be checkpointed — its workload exceeds the trace budget — in
-// which case every variant runs straight.
+// itself carries only the replay's progress). snap is nil when the point
+// cannot be checkpointed — its workload exceeds the trace budget, or
+// capture refused — in which case every later variant runs straight.
 type warmSnap struct {
 	snap *checkpoint.Snapshot
 	tr   *traffic.Trace
 }
 
 // warmSnapCache deduplicates warmup simulations inside the process, one
-// slot per warm key.
+// slot per warm key. It only ever holds snapshots WarmStart has forked or
+// captured, so a stale disk entry never reaches it.
 var warmSnapCache = newSFCache[string, *warmSnap](64)
 
 // warmKey identifies everything a frozen warmup depends on: budgets (the
@@ -63,92 +110,62 @@ func (s spec) warmKey(o Options) string {
 // simulate executes warmup + measurement for one point. The warmup always
 // runs policy-frozen, on both paths, so the two are step-for-step
 // identical until measurement begins: straight runs hold, warm up and
-// release; checkpointed runs fork a snapshot captured at the same held
-// instant and release. Fallbacks (untraceable workload, capture refusal,
-// restore failure) land on the straight path.
+// release; checkpointed runs start from WarmStart's network at the same
+// held instant and release. Points that cannot fork (untraceable
+// workload, capture refusal) land on the straight path.
 func simulate(s spec, o Options) network.Results {
 	warm, meas := o.budget()
+	var n *network.Network
 	if !o.NoCheckpoint {
-		if ws := warmSnapshot(s, o); ws.snap != nil {
-			if r, ok := forkAndMeasure(s, o, ws, meas); ok {
-				return r
-			}
-		}
+		n = s.warmStart(o)
 	}
-	n, m, horizon := s.build(o, warm+meas+1)
-	n.Launch(m, horizon)
-	n.SetDVSHold(true)
-	n.Run(warm)
-	warmupCycles.Add(warm)
+	if n == nil {
+		var m traffic.Model
+		var horizon sim.Time
+		n, m, horizon = s.build(o, warm+meas+1)
+		heldWarmup(n, m, horizon, warm)
+	}
 	n.SetDVSHold(false)
 	n.BeginMeasurement()
 	n.Run(meas)
 	return n.Snapshot()
 }
 
-// forkAndMeasure builds this variant's network from the shared warmed-up
-// snapshot and runs its measurement interval. ok is false when the
-// snapshot does not restore (a stale or foreign disk payload whose bytes
-// decode but whose shape does not fit this platform); the caller falls
-// back to a straight run.
-func forkAndMeasure(s spec, o Options, ws *warmSnap, meas int64) (network.Results, bool) {
-	n, err := checkpoint.Fork(ws.snap, s.config(o), ws.tr)
-	if err != nil {
-		return network.Results{}, false
-	}
-	n.SetDVSHold(false)
-	n.BeginMeasurement()
-	n.Run(meas)
-	return n.Snapshot(), true
-}
-
-// warmSnapshot returns the warmed-up snapshot for a point's warm key,
-// computing it on first use: memory -> disk -> simulate, with the
-// in-memory singleflight covering both lower layers. The caller already
-// holds a simulation slot, so the warmup runs inside it.
-func warmSnapshot(s spec, o Options) *warmSnap {
+// warmStart returns this variant's network at the end of the point's
+// shared warmup, or nil when the point cannot fork. The first variant of
+// a warm key runs WarmStart and keeps the network it returns; the others
+// fork the snapshot it left in warmSnapCache. The caller already holds a
+// simulation slot, so the warmup runs inside it.
+func (s spec) warmStart(o Options) *network.Network {
+	cfg := s.config(o)
 	wkey := s.warmKey(o)
-	return warmSnapCache.do(wkey, func() *warmSnap {
+	var own *network.Network
+	ws := warmSnapCache.do(wkey, func() *warmSnap {
 		if noTraceMemo {
 			return &warmSnap{} // forks need a shared trace to re-attach
 		}
 		warm, meas := o.budget()
-		cfg := s.config(o)
 		horizon := sim.Time(warm+meas+1) * cfg.RouterPeriod
 		topo := topology.New(cfg.K, cfg.N, cfg.Torus)
 		tr, _ := traffic.SharedTwoLevelTrace(s.twoLevelParams(o), topo, horizon)
 		if tr == nil {
 			// Workload exceeds the trace budget: run live, straight.
-			// build already emitted the fallback note for this point.
+			// build emits the fallback note for this point.
 			return &warmSnap{}
 		}
-		if ds := diskStore.Load(); ds != nil {
-			if b, ok := ds.Get(wkey); ok {
-				if snap, err := checkpoint.Decode(b); err == nil {
-					return &warmSnap{snap: snap, tr: tr}
-				}
-				ds.Drop(wkey)
-			}
-		}
-		n, err := network.New(cfg)
+		n, snap, err := WarmStart(wkey, cfg, tr, horizon, warm)
 		if err != nil {
 			panic(err)
 		}
-		n.Launch(tr, horizon)
-		n.SetDVSHold(true)
-		n.Run(warm)
-		warmupCycles.Add(warm)
-		snap, err := checkpoint.Capture(n)
-		if err != nil {
-			// Refusals are a correctness escape hatch, not an error: the
-			// point simply runs straight (and pays its own warmups).
-			return &warmSnap{}
-		}
-		if ds := diskStore.Load(); ds != nil {
-			if b, err := checkpoint.Encode(snap); err == nil {
-				ds.Put(wkey, b)
-			}
-		}
+		own = n
 		return &warmSnap{snap: snap, tr: tr}
 	})
+	if own != nil || ws.snap == nil {
+		return own
+	}
+	n, err := checkpoint.Fork(ws.snap, cfg, ws.tr)
+	if err != nil {
+		return nil // cannot happen for a snapshot WarmStart vetted; run straight
+	}
+	return n
 }

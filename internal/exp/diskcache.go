@@ -144,11 +144,10 @@ func CacheStoreJSON(key string, v any) {
 	}
 }
 
-// CacheLookupRaw, CacheStoreRaw and CacheDropRaw are the binary-payload
-// variants for artifacts that are not JSON (noc's warmed-up checkpoint
-// snapshots). The store still checksums payloads; semantic validation —
-// does it decode, does it fit this platform — is the caller's, and a
-// payload that fails it should be dropped so the slot recomputes.
+// CacheLookupRaw and CacheStoreRaw are the binary-payload variants for
+// artifacts that are not JSON (warmed-up checkpoint snapshots, which
+// WarmStart decodes and quarantines itself). The store still checksums
+// payloads; semantic validation is the caller's.
 func CacheLookupRaw(key string) ([]byte, bool) {
 	s := diskStore.Load()
 	if s == nil {
@@ -160,11 +159,5 @@ func CacheLookupRaw(key string) ([]byte, bool) {
 func CacheStoreRaw(key string, b []byte) {
 	if s := diskStore.Load(); s != nil {
 		s.Put(key, b)
-	}
-}
-
-func CacheDropRaw(key string) {
-	if s := diskStore.Load(); s != nil {
-		s.Drop(key)
 	}
 }

@@ -75,18 +75,6 @@ type RingCredit struct {
 	VC   int32
 }
 
-// SlowState is one scheduler-fallback message with its pending event's
-// dispatch key. Arrival is true for flit deliveries, false for credits.
-type SlowState struct {
-	At      sim.Time
-	Seq     int64
-	Arrival bool
-	Node    int32
-	Port    int32
-	VC      int32
-	Flit    int32
-}
-
 // TrafficState is the attached trace replay's progress. Identity fields
 // (Name, Horizon, Len) let the restorer verify the caller re-derived the
 // same trace; the trace's arrivals themselves are never serialized.
@@ -134,7 +122,6 @@ type CheckpointState struct {
 	Injectors    []InjectorState
 	RingArrivals []RingArrival
 	RingCredits  []RingCredit
-	Slow         []SlowState
 
 	Lat   stats.LatencyState
 	Meter power.MeterState
@@ -276,29 +263,6 @@ func (n *Network) captureState() (*CheckpointState, error) {
 		}
 	}
 
-	// Scheduler-fallback messages, in list order.
-	for _, s := range n.slow {
-		if s.in != nil {
-			port, err := inputPortIndex(n.Routers[s.node], s.in)
-			if err != nil {
-				return nil, err
-			}
-			st.Slow = append(st.Slow, SlowState{
-				At: s.at, Seq: s.seq, Arrival: true,
-				Node: int32(s.node), Port: port, Flit: tbl.encode(s.flit),
-			})
-		} else {
-			co, ok := outCoord[s.out]
-			if !ok {
-				return nil, fmt.Errorf("network: slow credit on an unknown output port")
-			}
-			st.Slow = append(st.Slow, SlowState{
-				At: s.at, Seq: s.seq, Arrival: false,
-				Node: co[0], Port: co[1], VC: int32(s.vc),
-			})
-		}
-	}
-
 	// Injectors, in node order: in-progress flit trains first (their flits
 	// are live), then whole queued packets.
 	st.Injectors = make([]InjectorState, len(n.injectors))
@@ -347,14 +311,11 @@ func (n *Network) captureState() (*CheckpointState, error) {
 }
 
 // verifyPendingEvents cross-checks the scheduler queue against the
-// subsystems that claim pending events: every queued event must be a slow
-// message, a link transition completion, or the trace replay's next step —
-// with matching (instant, sequence) keys — and vice versa.
+// subsystems that claim pending events: every queued event must be a link
+// transition completion or the trace replay's next step — with matching
+// (instant, sequence) keys — and vice versa.
 func (n *Network) verifyPendingEvents(st *CheckpointState) error {
 	var want []sim.PendingEvent
-	for _, s := range st.Slow {
-		want = append(want, sim.PendingEvent{At: s.At, Seq: s.Seq})
-	}
 	for _, ls := range st.Links {
 		if ls.PendSeq != 0 {
 			want = append(want, sim.PendingEvent{At: ls.PendAt, Seq: ls.PendSeq})
@@ -440,11 +401,6 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 	// Every pending event re-armed below must carry a dispatch key the
 	// captured run could have issued; the scheduler enforces this with
 	// panics, so reject malformed keys here, as errors.
-	for _, s := range st.Slow {
-		if s.Seq <= 0 || s.Seq > st.Seq || s.At < st.Now {
-			return fmt.Errorf("network: restore slow message with dispatch key (%v, seq %d) outside the captured run", s.At, s.Seq)
-		}
-	}
 	for i, ls := range st.Links {
 		if ls.PendSeq != 0 && (ls.PendSeq < 0 || ls.PendSeq > st.Seq || ls.PendAt < st.Now) {
 			return fmt.Errorf("network: restore link %d with dispatch key (%v, seq %d) outside the captured run", i, ls.PendAt, ls.PendSeq)
@@ -545,40 +501,6 @@ func (n *Network) RestoreCheckpoint(st *CheckpointState, tr *traffic.Trace) erro
 		b := &n.ring[c.Slot]
 		b.credits = append(b.credits, creditMsg{out: r.Outputs[c.Port], vc: int(c.VC)})
 		n.ringCount++
-	}
-
-	// Scheduler-fallback messages, re-armed under their captured keys.
-	for _, s := range st.Slow {
-		if s.Node < 0 || int(s.Node) >= nodes {
-			return fmt.Errorf("network: restore slow message at node %d", s.Node)
-		}
-		r := n.Routers[s.Node]
-		if s.Arrival {
-			if s.Port < 0 || int(s.Port) >= len(r.Inputs) {
-				return fmt.Errorf("network: restore slow arrival with port %d", s.Port)
-			}
-			f, err := decode(s.Flit)
-			if err != nil {
-				return fmt.Errorf("network: restore slow arrival: %w", err)
-			}
-			e := &slowEntry{at: s.At, seq: s.Seq, node: int(s.Node), in: r.Inputs[s.Port], flit: f}
-			n.slow = append(n.slow, e)
-			n.Sched.AtSeq(e.at, e.seq, func() {
-				n.slowDrop(e)
-				n.markActive(e.node)
-				e.in.Arrive(e.flit, n.Sched.Now())
-			})
-		} else {
-			if s.Port < 0 || int(s.Port) >= len(r.Outputs) || s.VC < 0 || int(s.VC) >= n.Cfg.Router.VCs {
-				return fmt.Errorf("network: restore slow credit with port %d vc %d", s.Port, s.VC)
-			}
-			e := &slowEntry{at: s.At, seq: s.Seq, node: -1, out: r.Outputs[s.Port], vc: int(s.VC)}
-			n.slow = append(n.slow, e)
-			n.Sched.AtSeq(e.at, e.seq, func() {
-				n.slowDrop(e)
-				e.out.ReturnCredit(e.vc, n.Sched.Now())
-			})
-		}
 	}
 
 	// Injectors.

@@ -140,8 +140,14 @@ func (c Config) Validate() error {
 	if _, err := routing.ByName(c.Routing); err != nil {
 		return err
 	}
-	if _, err := link.NewTable(c.Link); err != nil {
+	t, err := link.NewTable(c.Link)
+	if err != nil {
 		return err
+	}
+	// A flit or credit rides the ring for at most one slowest-link period
+	// (a credit on a channel without a link waits one router period).
+	if cycles := (t.Period[0] + c.RouterPeriod - 1) / c.RouterPeriod; cycles >= ringSize {
+		return fmt.Errorf("network: slowest link period is %d router cycles, above the %d-cycle bound of the message ring", cycles, ringSize-1)
 	}
 	return nil
 }
@@ -195,9 +201,11 @@ func (inj *injector) pop() *flow.Packet {
 	return p
 }
 
-// ringSize is the span, in router cycles, of the short-delay message ring.
-// Flit serialization and credit return delays are at most one bottom-level
-// link period (8 cycles at 1 GHz), far below it.
+// ringSize is the span, in router cycles, of the message ring that carries
+// every flit arrival and credit return. Their delays are at most one
+// bottom-level link period (8 cycles at 1 GHz for the paper's links);
+// Validate rejects any configuration whose slowest link period exceeds
+// ringSize-1 router cycles, so every message fits.
 const ringSize = 64
 
 // arrivalMsg is a flit landing at a router input port. node is the
@@ -274,7 +282,7 @@ type Network struct {
 	// draining output pipelines); Step iterates only set bits, in ascending
 	// node order so the event sequence matches the tick-everything baseline
 	// exactly. injMask marks nodes whose source injector holds work. Flit
-	// arrivals (ring, slow path, injection) re-arm a router; the end-of-step
+	// arrivals (ring delivery, injection) re-arm a router; the end-of-step
 	// sweep retires routers whose Busy predicate went false. With Cfg.NoSkip
 	// every bit stays permanently set and both masks degenerate to the
 	// original tick-everything loops.
@@ -291,12 +299,6 @@ type Network struct {
 	// aud, when non-nil, is the runtime invariant checker; every hook site
 	// nil-checks it so the disabled cost is one pointer compare.
 	aud *audit.Checker
-	// slow mirrors messages that fell back to the scheduler (due beyond the
-	// ring span) so audit conservation scans and checkpoints can enumerate
-	// them. The slow path is cold by construction — link serialization and
-	// credit return delays never approach the ring span — so the tracking
-	// costs nothing in steady state.
-	slow []*slowEntry
 
 	// dvsHold freezes the DVS policies: while held, history windows never
 	// close and no link transition can start, so the simulation is
@@ -314,19 +316,6 @@ type Network struct {
 	model   traffic.Model
 	horizon sim.Time
 	replay  *traffic.Replay
-}
-
-// slowEntry is one scheduler-fallback message: a flit arrival when in is
-// non-nil, otherwise a credit return. at/seq are the pending event's
-// dispatch key, recorded so a checkpoint can re-arm it exactly.
-type slowEntry struct {
-	at   sim.Time
-	seq  int64
-	node int // arrival destination router; -1 for credits
-	in   *router.InputPort
-	flit *flow.Flit
-	out  *router.OutputPort
-	vc   int
 }
 
 // SkipStats measures how much work the activity-driven core avoided. All
@@ -508,9 +497,9 @@ func New(cfg Config) (*Network, error) {
 func (n *Network) Auditor() *audit.Checker { return n.aud }
 
 // walkTransit shows the audit everything in flight outside router state:
-// ring-buffered arrivals and credits, scheduler-fallback messages, and
-// partially injected packets at sources. Queued whole packets have no
-// flits yet and are tracked by the audit's own ledger.
+// ring-buffered arrivals and credits, and partially injected packets at
+// sources. Queued whole packets have no flits yet and are tracked by the
+// audit's own ledger.
 func (n *Network) walkTransit(v audit.TransitVisitor) {
 	for i := range n.ring {
 		b := &n.ring[i]
@@ -521,26 +510,9 @@ func (n *Network) walkTransit(v audit.TransitVisitor) {
 			v.Credit(cm.out, cm.vc)
 		}
 	}
-	for _, s := range n.slow {
-		if s.in != nil {
-			v.Flit(s.in, s.flit)
-		} else {
-			v.Credit(s.out, s.vc)
-		}
-	}
 	for node, inj := range n.injectors {
 		for _, f := range inj.current {
 			v.SourceFlit(node, f)
-		}
-	}
-}
-
-// slowDrop removes one tracked scheduler-fallback message by identity.
-func (n *Network) slowDrop(e *slowEntry) {
-	for i := range n.slow {
-		if n.slow[i] == e {
-			n.slow = append(n.slow[:i], n.slow[i+1:]...)
-			return
 		}
 	}
 }
@@ -633,7 +605,7 @@ func (n *Network) Step() {
 	n.eject(now)
 	if !n.noskip {
 		// Retire routers that went idle this cycle. Their bits re-arm on
-		// the next flit arrival (ring delivery, injection, or slow path).
+		// the next flit arrival (ring delivery or injection).
 		for w, word := range n.activeMask {
 			base := w << 6
 			for word != 0 {
@@ -693,11 +665,11 @@ func boundaryFrom(from, every int64) int64 {
 // nextInterestingCycle reports the first cycle at or after the current one
 // that must execute while the network is quiescent: the cycle whose
 // RunUntil delivers the earliest pending scheduler event (traffic
-// injections, DVS transition completions and slow-path messages all live
-// there), the next DVS policy-window close, the next probe tick, and the
-// next audit scan. Everything in between is provably empty: no router
-// state, link window, energy ledger or occupancy integral changes on those
-// cycles (the lazily accrued quantities integrate over the jump exactly).
+// injections and DVS transition completions live there), the next DVS
+// policy-window close, the next probe tick, and the next audit scan.
+// Everything in between is provably empty: no router state, link window,
+// energy ledger or occupancy integral changes on those cycles (the lazily
+// accrued quantities integrate over the jump exactly).
 // The result is clamped to target, the end of the current Run.
 func (n *Network) nextInterestingCycle(target int64) int64 {
 	next := target
@@ -752,23 +724,21 @@ func (n *Network) dueCycle(at sim.Time) int64 {
 	return int64((at + p - 1) / p)
 }
 
-// enqueueArrival buffers a flit delivery at node's input port due at the
-// given instant. Delays beyond the ring span (impossible for link
-// serialization) fall back to the scheduler. Either path re-arms the
-// destination router when the flit lands.
-func (n *Network) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, at sim.Time) {
+// bucket returns the ring bucket for a message due at the given instant.
+// Validate bounds every delay below the ring span, so a message due
+// further ahead is a simulator bug.
+func (n *Network) bucket(at sim.Time) *ringBucket {
 	due := n.dueCycle(at)
 	if due-n.cycle >= ringSize {
-		e := &slowEntry{at: at, node: node, in: in, flit: f}
-		n.slow = append(n.slow, e)
-		e.seq = n.Sched.At(at, func() {
-			n.slowDrop(e)
-			n.markActive(e.node)
-			e.in.Arrive(e.flit, n.Sched.Now())
-		})
-		return
+		panic("network: message due beyond the ring span; Config.Validate bounds every link period below it")
 	}
-	b := &n.ring[due%ringSize]
+	return &n.ring[due%ringSize]
+}
+
+// enqueueArrival buffers a flit delivery at node's input port due at the
+// given instant; delivery re-arms the destination router.
+func (n *Network) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, at sim.Time) {
+	b := n.bucket(at)
 	b.arrivals = append(b.arrivals, arrivalMsg{in: in, flit: f, node: node})
 	n.ringCount++
 }
@@ -777,17 +747,7 @@ func (n *Network) enqueueArrival(node int, in *router.InputPort, f *flow.Flit, a
 // need no active-list re-arm: a credit only unblocks a router that already
 // holds flits waiting to traverse, and such a router is busy by definition.
 func (n *Network) enqueueCredit(out *router.OutputPort, vc int, at sim.Time) {
-	due := n.dueCycle(at)
-	if due-n.cycle >= ringSize {
-		e := &slowEntry{at: at, node: -1, out: out, vc: vc}
-		n.slow = append(n.slow, e)
-		e.seq = n.Sched.At(at, func() {
-			n.slowDrop(e)
-			e.out.ReturnCredit(e.vc, n.Sched.Now())
-		})
-		return
-	}
-	b := &n.ring[due%ringSize]
+	b := n.bucket(at)
 	b.credits = append(b.credits, creditMsg{out: out, vc: vc})
 	n.ringCount++
 }

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/flow"
@@ -42,6 +44,36 @@ func TestConfigValidation(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Error("unknown routing accepted")
 	}
+}
+
+// TestConfigValidationRingBound pins the invariant that lets every flit
+// and credit ride the 64-slot message ring: Validate rejects a slowest
+// link level whose period exceeds ringSize-1 router cycles.
+func TestConfigValidationRingBound(t *testing.T) {
+	for cycles, ok := range map[int]bool{8: true, 63: true, 64: false, 100: false} {
+		cfg := NewConfig()
+		cfg.Link.MinFreqHz = 1e9 / float64(cycles) // 1 GHz router
+		err := cfg.Validate()
+		if ok != (err == nil) {
+			t.Errorf("%d-cycle slowest link: Validate() = %v, want ok=%t", cycles, err, ok)
+		} else if !ok && !strings.Contains(err.Error(), fmt.Sprintf(" %d router cycles, above the %d-cycle", cycles, ringSize-1)) {
+			t.Errorf("%d-cycle slowest link: error %q does not name both bounds", cycles, err)
+		}
+	}
+}
+
+// TestRingOverrunPanics: a message due beyond the ring span can only come
+// from a simulator bug once Validate holds, so the ring refuses it loudly
+// instead of aliasing it onto an earlier cycle's bucket.
+func TestRingOverrunPanics(t *testing.T) {
+	n := mustNew(t, smallConfig(PolicyNone))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "ring span") {
+			t.Errorf("overrun panic = %q, want one naming the ring span", msg)
+		}
+	}()
+	n.enqueueCredit(n.Routers[0].Outputs[1], 0, sim.Time(ringSize)*n.Cfg.RouterPeriod)
 }
 
 func TestSinglePacketDelivery(t *testing.T) {

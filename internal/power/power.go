@@ -168,9 +168,3 @@ func (m *Meter) InstantPowerW() float64 {
 	}
 	return p
 }
-
-// String summarizes the meter at time now.
-func (m *Meter) Summary(now sim.Time) string {
-	return fmt.Sprintf("links=%d avg=%.1fW baseline=%.1fW normalized=%.3f savings=%.2fX",
-		len(m.links), m.AvgPowerW(now), m.BaselinePowerW(), m.Normalized(now), m.Savings(now))
-}

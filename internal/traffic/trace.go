@@ -227,10 +227,11 @@ func (t *Trace) Resume(sched *sim.Scheduler, inject Injector, index int, pendSeq
 // them all share one captured trace. Budgets are in arrivals, but an
 // arrival now costs ~5 encoded bytes, not a 24-byte struct, and replay
 // streams block-by-block — so the budgets sit two orders of magnitude
-// above the old materialized-slice limits and cover every -full figure
-// point (rate 8.0 at the full measurement horizon is the one production
-// workload left out; it falls back to the live model, with a stderr note
-// from the harness). The cache evicts oldest-first once completed traces
+// above the old materialized-slice limits. They still leave out every
+// rate above about 5.8 packets/cycle at the 11 000 001-cycle -full
+// horizon: five production points (fig12's rates 6, 8, 10 and 12, and
+// fig3-5's rate 8) fall back to the live model, with a stderr note from
+// the harness. The cache evicts oldest-first once completed traces
 // together exceed totalTraceArrivalBudget.
 const (
 	perTraceArrivalBudget   = 64_000_000

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/checkpoint"
 	"repro/internal/exp"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -77,12 +76,12 @@ func twoLevelTrace(lowered network.Config, w TwoLevelWorkload, warmup, measure i
 
 // NewWarmedTwoLevel builds a network under the two-level workload and
 // brings it to the end of a policy-frozen warmup, ready for Measure. With
-// reuse enabled and a run cache installed, the warmed-up state forks from
-// a persisted snapshot when a compatible earlier invocation already paid
-// for this warmup, and is captured and persisted otherwise; with reuse
-// disabled (or no cache) the warmup always simulates. Both paths release
-// the policy freeze at the same instant, so measurement results are
-// identical either way.
+// reuse enabled the warmup goes through exp.WarmStart: when a run cache is
+// installed and a compatible earlier invocation already paid for this
+// warmup, the warmed-up state forks from its persisted snapshot, and is
+// captured and persisted otherwise. With reuse disabled the warmup always
+// simulates. Both paths release the policy freeze at the same instant, so
+// measurement results are identical either way.
 func NewWarmedTwoLevel(c Config, w TwoLevelWorkload, warmup, measure int64, reuse bool) (*Network, error) {
 	lowered, err := c.lower()
 	if err != nil {
@@ -92,39 +91,22 @@ func NewWarmedTwoLevel(c Config, w TwoLevelWorkload, warmup, measure int64, reus
 	if err != nil {
 		return nil, err
 	}
-	key, err := warmedKey(c, w, warmup, measure)
-	if err != nil {
-		return nil, err
-	}
-
+	var n *network.Network
 	if reuse {
-		if b, ok := exp.CacheLookupRaw(key); ok {
-			snap, derr := checkpoint.Decode(b)
-			if derr == nil {
-				if n, ferr := checkpoint.Fork(snap, lowered, tr); ferr == nil {
-					n.SetDVSHold(false)
-					return &Network{inner: n}, nil
-				}
-			}
-			// Decodes-but-does-not-restore (or fails to decode at all):
-			// quarantine the entry and pay for the warmup below.
-			exp.CacheDropRaw(key)
+		key, err := warmedKey(c, w, warmup, measure)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	n, err := network.New(lowered)
-	if err != nil {
-		return nil, err
-	}
-	n.Launch(tr, horizon)
-	n.SetDVSHold(true)
-	n.Run(warmup)
-	if reuse {
-		if snap, cerr := checkpoint.Capture(n); cerr == nil {
-			if b, eerr := checkpoint.Encode(snap); eerr == nil {
-				exp.CacheStoreRaw(key, b)
-			}
+		if n, _, err = exp.WarmStart(key, lowered, tr, horizon, warmup); err != nil {
+			return nil, err
 		}
+	} else {
+		if n, err = network.New(lowered); err != nil {
+			return nil, err
+		}
+		n.Launch(tr, horizon)
+		n.SetDVSHold(true)
+		n.Run(warmup)
 	}
 	n.SetDVSHold(false)
 	return &Network{inner: n}, nil
